@@ -1,6 +1,8 @@
 """Command-line interface.
 
 Exit codes for `find`: 0 witness found, 1 not found, 2 input error.
+Every command exits 2 with an `error:` line, not a traceback, when a
+computation gives up (a size limit, a witness that fails re-verification).
 All commands are deterministic given identical inputs and seeds; the
 --threads flag is accepted for interface compatibility but execution is
 sequential (results never depend on it).
@@ -21,7 +23,13 @@ from .goodness import (
     classify_spiders,
     not_good_ratio,
 )
-from .graph import Graph, complete_bipartite, cycle_graph, random_gnm
+from .graph import (
+    BalanceUndecidable,
+    Graph,
+    complete_bipartite,
+    cycle_graph,
+    random_gnm,
+)
 from .oracle import (
     SearchBudget,
     contains,
@@ -342,7 +350,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "sweep":
             return _cmd_sweep(args)
         raise ValueError(f"unknown command {args.command!r}")
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, RuntimeError, BalanceUndecidable) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -388,8 +388,8 @@ def assemble_blowup(
         ),
         route="constructive",
     )
-    err_free = verify_embedding(G, w)
-    assert err_free, "assembled witness failed verification"
+    if not verify_embedding(G, w):
+        raise RuntimeError("assembled witness failed verification")
     return w
 
 

@@ -106,27 +106,35 @@ class Graph:
 
     @classmethod
     def load(cls, text: str) -> "Graph":
-        """Parse the edge-list format: first line "n m", then m lines "u v"."""
-        lines = [ln for ln in text.splitlines()]
-        if not lines or not lines[0].strip():
+        """Parse the edge-list format: a header line "n m", then m lines
+        "u v".  Blank lines and `#` comments (whole-line or trailing) are
+        skipped; error messages name the line's number in the text.
+        """
+        rows = []
+        for i, ln in enumerate(text.splitlines(), start=1):
+            parts = ln.split("#", 1)[0].split()
+            if parts:
+                rows.append((i, parts))
+        if not rows:
             raise GraphParseError("line 1: missing header 'n m'")
-        head = lines[0].split()
+        hi, head = rows[0]
         if len(head) != 2:
-            raise GraphParseError("line 1: header must be 'n m'")
+            raise GraphParseError(f"line {hi}: header must be 'n m'")
         try:
             n, m = int(head[0]), int(head[1])
         except ValueError:
-            raise GraphParseError("line 1: header must be two integers") from None
+            raise GraphParseError(
+                f"line {hi}: header must be two integers"
+            ) from None
         if n < 0 or m < 0:
-            raise GraphParseError("line 1: n and m must be nonnegative")
+            raise GraphParseError(f"line {hi}: n and m must be nonnegative")
         es: set[tuple[int, int]] = set()
-        body = [ln for ln in lines[1:] if ln.strip()]
+        body = rows[1:]
         if len(body) != m:
             raise GraphParseError(
                 f"expected {m} edge lines, found {len(body)}"
             )
-        for i, ln in enumerate(body, start=2):
-            parts = ln.split()
+        for i, parts in body:
             if len(parts) != 2:
                 raise GraphParseError(f"line {i}: expected 'u v'")
             try:

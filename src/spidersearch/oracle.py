@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import random
 import time
+from collections.abc import Collection, Sequence
 from dataclasses import dataclass, field
 from itertools import combinations, permutations
 
@@ -139,12 +140,89 @@ def verify_embedding(G: Graph, w: Witness) -> bool:
 # -- exact-length simple paths ----------------------------------------------
 
 
+_NO_VERTICES: frozenset[int] = frozenset()
+
+
+def _distances_to(
+    adj: Sequence[Collection[int]],
+    v: int,
+    length: int,
+    forbidden: Collection[int],
+) -> list[int]:
+    """BFS distances to `v` avoiding `forbidden` vertices, indexed by
+    vertex, with `length + 1` for every vertex farther than `length`: the
+    admissible pruning bound of the exact-path search.  A table stays valid
+    for every source while `adj` is unchanged.
+    """
+    far = length + 1
+    dist = [far] * len(adj)
+    dist[v] = 0
+    frontier = [v]
+    for d in range(1, far):
+        nxt = []
+        for x in frontier:
+            for y in adj[x]:
+                if dist[y] == far and y not in forbidden:
+                    dist[y] = d
+                    nxt.append(y)
+        frontier = nxt
+        if not frontier:
+            break
+    return dist
+
+
+def _walk_paths(
+    adj: Sequence[Collection[int]],
+    u: int,
+    v: int,
+    length: int,
+    dist: list[int],
+    budget: SearchBudget | None = None,
+):
+    """Generator over the simple u-v paths with exactly `length` edges, in
+    depth-first order: each vertex's neighbours in the order `adj` lists
+    them.  `dist` is `_distances_to(adj, v, length, forbidden)`; it puts
+    every forbidden vertex out of range, so no path passes through one.
+    Iterative, so the path length is not bounded by the recursion limit;
+    one budget tick per node of the search tree.
+    """
+    if dist[u] > length:
+        return
+    if budget is not None:
+        budget.tick()
+    path = [u]
+    on_path = {u}
+    stack = [iter(adj[u])]
+    while stack:
+        rem = length - len(stack)  # edges still needed after the next step
+        for y in stack[-1]:
+            if y in on_path:
+                continue
+            if y == v:
+                if rem:
+                    continue
+            elif dist[y] > rem:
+                continue
+            if budget is not None:
+                budget.tick()
+            if not rem:
+                yield (*path, v)
+                continue
+            path.append(y)
+            on_path.add(y)
+            stack.append(iter(adj[y]))
+            break
+        else:
+            stack.pop()
+            on_path.discard(path.pop())
+
+
 def _exact_path(
     adj: list[set[int]],
     u: int,
     v: int,
     length: int,
-    forbidden: set[int],
+    forbidden: Collection[int],
     budget: SearchBudget | None = None,
 ) -> tuple[int, ...] | None:
     """One simple u-v path with exactly `length` edges whose vertices avoid
@@ -154,102 +232,28 @@ def _exact_path(
         raise ValueError("length must be >= 1")
     if u == v or u in forbidden or v in forbidden:
         return None
-    # BFS distances to v ignoring forbidden vertices: admissible pruning bound
-    dist = {v: 0}
-    frontier = [v]
-    for d in range(1, length + 1):
-        nxt = []
-        for x in frontier:
-            for y in adj[x]:
-                if y not in dist and y not in forbidden:
-                    dist[y] = d
-                    nxt.append(y)
-        frontier = nxt
-        if not frontier:
-            break
-    if dist.get(u, length + 1) > length:
-        return None
-
-    path = [u]
-    on_path = {u}
-
-    def dfs(x: int, remaining: int) -> bool:
-        if budget is not None:
-            budget.tick()
-        if remaining == 0:
-            return x == v
-        for y in adj[x]:
-            if y in on_path or y in forbidden:
-                continue
-            if y == v and remaining != 1:
-                continue
-            if dist.get(y, length + 1) > remaining - 1:
-                continue
-            path.append(y)
-            on_path.add(y)
-            if dfs(y, remaining - 1):
-                return True
-            path.pop()
-            on_path.discard(y)
-        return False
-
-    return tuple(path) if dfs(u, length) else None
+    dist = _distances_to(adj, v, length, forbidden)
+    return next(_walk_paths(adj, u, v, length, dist, budget), None)
 
 
 def _iter_exact_paths(
-    adj: list[set[int]],
+    adj: Sequence[Sequence[int]],
     u: int,
     v: int,
     length: int,
     forbidden: set[int],
     budget: SearchBudget | None = None,
 ):
-    """Generator over all simple u-v paths of exact length avoiding
-    `forbidden` internally, in lexicographic order.
+    """Iterator over all simple u-v paths of exact length avoiding
+    `forbidden` internally, in lexicographic order when `adj` lists each
+    vertex's neighbours in ascending order.
     """
     if u == v or u in forbidden or v in forbidden:
-        return
+        return iter(())
     if length == 1:
-        if v in adj[u]:
-            yield (u, v)
-        return
-    dist = {v: 0}
-    frontier = [v]
-    for d in range(1, length + 1):
-        nxt = []
-        for x in frontier:
-            for y in adj[x]:
-                if y not in dist and y not in forbidden:
-                    dist[y] = d
-                    nxt.append(y)
-        frontier = nxt
-    if dist.get(u, length + 1) > length:
-        return
-
-    path = [u]
-    on_path = {u}
-
-    def dfs(x: int, remaining: int):
-        if budget is not None:
-            budget.tick()
-        if remaining == 0:
-            if x == v:
-                yield tuple(path)
-            return
-        for y in sorted(adj[x]):
-            if y in on_path or y in forbidden:
-                continue
-            if y == v and remaining != 1:
-                continue
-            if dist.get(y, length + 1) > remaining - 1:
-                continue
-            path.append(y)
-            on_path.add(y)
-            yield from dfs(y, remaining - 1)
-            path.pop()
-            on_path.discard(y)
-
-    yield from dfs(u, length)
+        return iter(((u, v),) if v in adj[u] else ())
+    dist = _distances_to(adj, v, length, forbidden)
+    return _walk_paths(adj, u, v, length, dist, budget)
 
 
 def _adj_sets(G: Graph) -> list[set[int]]:
@@ -270,7 +274,7 @@ def find_cycle(
     for u, v in G.sorted_edges():
         adj[u].discard(v)
         adj[v].discard(u)
-        p = _exact_path(adj, u, v, length - 1, set(), budget)
+        p = _exact_path(adj, u, v, length - 1, _NO_VERTICES, budget)
         if p is not None:
             return p
     return None
@@ -285,12 +289,40 @@ def adding_edge_creates(
     """
     M = as_cycle_length(desc)
     if M is not None:
-        return _exact_path(_adj_sets(G), u, v, M - 1, set(), budget) is not None
+        path = _exact_path(_adj_sets(G), u, v, M - 1, _NO_VERTICES, budget)
+        return path is not None
     G2 = Graph(G.n, G.edges | {(min(u, v), max(u, v))})
     res = contains(G2, desc, budget)
     if res.status == "budget":
         raise BudgetExhausted("incremental containment check ran out of budget")
     return res.status == "found"
+
+
+def first_addable_edge(
+    G: Graph, desc: PatternDescriptor
+) -> tuple[int, int] | None:
+    """The first non-edge (u, v), u < v in lexicographic order, whose
+    addition keeps the pattern-free G pattern-free; None when G is
+    edge-maximal.  Agrees with `adding_edge_creates` pair by pair.  For
+    cycle-shaped patterns the adjacency is built once and one distance
+    table serves every pair with the same smaller endpoint.
+    """
+    M = as_cycle_length(desc)
+    if M is None:
+        for u, v in combinations(G.vertices(), 2):
+            if not G.has_edge(u, v) and not adding_edge_creates(G, u, v, desc):
+                return (u, v)
+        return None
+    adj = _adj_sets(G)
+    for u in G.vertices():
+        dist = _distances_to(adj, u, M - 1, _NO_VERTICES)
+        for v in range(u + 1, G.n):
+            if v in adj[u]:
+                continue
+            path = next(_walk_paths(adj, v, u, M - 1, dist), None)
+            if path is None:
+                return (u, v)
+    return None
 
 
 # -- containment -------------------------------------------------------------
@@ -346,7 +378,8 @@ def _cycle_containment(
         paths=tuple(tuple(vmap[x] for x in chain) for chain in chains),
         route="oracle",
     )
-    assert verify_embedding(G, w), "cycle witness failed verification"
+    if not verify_embedding(G, w):
+        raise RuntimeError("cycle witness failed verification")
     return ContainmentResult("found", w, nodes=budget.nodes if budget else 0)
 
 
@@ -380,7 +413,7 @@ def _requirement_order(tmpl: Template) -> list[int]:
 def _template_search(
     G: Graph, tmpl: Template, budget: SearchBudget | None
 ) -> tuple[dict[int, int], dict[int, tuple[int, ...]]] | None:
-    adj = _adj_sets(G)
+    adj = [G.neighbors(v) for v in G.vertices()]  # ascending
     order = _requirement_order(tmpl)
     incident: dict[int, int] = {}
     for a, b, _ in tmpl.requirements:
@@ -391,13 +424,13 @@ def _template_search(
     used: set[int] = set()  # terminal images + path interiors
     paths: dict[int, tuple[int, ...]] = {}
 
-    def candidates(term: int):
+    def candidates(term: int) -> list[int]:
         if term in img:
-            return (img[term],)
+            return [img[term]]
         need = incident.get(term, 0)
-        return tuple(
+        return [
             x for x in G.vertices() if x not in used and len(adj[x]) >= need
-        )
+        ]
 
     def place(pos: int) -> bool:
         if budget is not None:
@@ -463,7 +496,8 @@ def contains(
         paths=tuple(paths[i] for i in range(len(tmpl.requirements))),
         route="oracle",
     )
-    assert verify_embedding(G, w), "search witness failed verification"
+    if not verify_embedding(G, w):
+        raise RuntimeError("search witness failed verification")
     return ContainmentResult("found", w, nodes=budget.nodes if budget else 0)
 
 
@@ -652,6 +686,10 @@ def hill_climb_free(
     addition only when the graph stays pattern-free; restart when a run
     saturates and the test budget remains.  Every returned graph is
     edge-maximal: a run only ends once no candidate edge is addable.
+
+    For cycle-shaped patterns a candidate is blocked iff an (M-1)-edge path
+    joins its endpoints.  Distance tables, one per target vertex, are shared
+    between candidate tests and dropped when an accepted edge changes them.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -664,6 +702,7 @@ def hill_climb_free(
     while best is None or tests < iterations:
         edges: set[tuple[int, int]] = set()
         adj: list[set[int]] = [set() for _ in range(n)]
+        tables: dict[int, list[int]] = {}
         candidates = list(combinations(range(n), 2))
         while candidates:
             i = rng.randrange(len(candidates))
@@ -671,7 +710,13 @@ def hill_climb_free(
             u, v = candidates.pop()
             tests += 1
             if M is not None:
-                blocked = _exact_path(adj, u, v, M - 1, set()) is not None
+                # search towards an endpoint that already has a table
+                a, b = (v, u) if u in tables and v not in tables else (u, v)
+                dist = tables.get(b)
+                if dist is None:
+                    dist = tables[b] = _distances_to(adj, b, M - 1, _NO_VERTICES)
+                path = next(_walk_paths(adj, a, b, M - 1, dist), None)
+                blocked = path is not None
             else:
                 blocked = adding_edge_creates(
                     Graph(n, frozenset(edges)), u, v, desc
@@ -680,6 +725,12 @@ def hill_climb_free(
                 edges.add((u, v))
                 adj[u].add(v)
                 adj[v].add(u)
+                # the edge shortens no distance in a table where its ends
+                # lie at most one level apart (M standing for "out of range")
+                tables = {
+                    t: d for t, d in tables.items()
+                    if abs(d[u] - d[v]) <= 1
+                }
         g = Graph(n, frozenset(edges))
         if best is None or g.m > best.m:
             best = g

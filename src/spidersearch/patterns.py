@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 
 from .graph import Graph
@@ -53,6 +54,11 @@ class PatternDescriptor:
             base += f"*{self.blowup}"
         return base
 
+
+# compile_template and as_cycle_length are pure in the frozen descriptor and
+# return immutable values, so they are memoised; the bound keeps a process
+# that meets many distinct patterns from growing without limit
+_SHAPE_CACHE_SIZE = 128
 
 _BASE_RE = re.compile(
     r"^(?P<base>[a-z]+:[0-9,;:\-]+?)(?:\^(?P<k>\d+))?(?:\*(?P<t>\d+))?$"
@@ -121,6 +127,7 @@ def spider_blowup_pattern(legs: tuple[int, ...], t: int) -> PatternDescriptor:
     return PatternDescriptor(kind="spider", legs=legs, blowup=t)
 
 
+@lru_cache(maxsize=_SHAPE_CACHE_SIZE)
 def compile_template(desc: PatternDescriptor) -> Template:
     """Compile a descriptor into its routing template.
 
@@ -162,6 +169,7 @@ def instantiate(desc: PatternDescriptor) -> Graph:
     return Graph.from_edges(nxt, edges)
 
 
+@lru_cache(maxsize=_SHAPE_CACHE_SIZE)
 def as_cycle_length(desc: PatternDescriptor) -> int | None:
     """If the pattern graph is a single cycle, return its length."""
     H = instantiate(desc)

@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import spidersearch
 
 from spidersearch import __version__
 from spidersearch.cli import main
@@ -153,6 +159,12 @@ class TestOracle:
         doc = json.loads(out)
         assert code == 0 and doc["value"] == 4 and doc["exhaustive"]
 
+    def test_extremal_too_large_exit_2(self, capsys):
+        code, out, err = run(capsys, "oracle", "extremal", "--n", "10",
+                             "--pattern", "cycle:4")
+        assert code == 2 and out == ""
+        assert err.startswith("error: canonical form too expensive")
+
     def test_hillclimb(self, capsys):
         code, out, _ = run(capsys, "oracle", "hillclimb", "--n", "7",
                            "--pattern", "cycle:8", "--iters", "50")
@@ -188,3 +200,38 @@ class TestGlobalFlags:
         b = run(capsys, "--threads", "8", "spiders", "count", "--graph", path,
                 "--lv", "1,1")
         assert a == b
+
+
+_REJECT_ALL_WITNESSES = """
+import sys
+from spidersearch import finder, oracle
+from spidersearch.cli import main
+oracle.verify_embedding = finder.verify_embedding = lambda G, w: False
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["oracle", "contains", "--pattern", "cycle:8"],
+     "cycle witness failed verification"),
+    (["oracle", "contains", "--pattern", "kst:2,3^2"],
+     "search witness failed verification"),
+    (["find", "--pattern", "kst:2,2^2", "--threshold", "const:1", "--L", "4"],
+     "assembled witness failed verification"),
+])
+def test_witness_check_survives_optimize(tmp_path, argv, message):
+    """Under `python -O` a witness that fails re-verification still ends
+    the command with an error, not with unverified output."""
+    host = write_graph(tmp_path, subdivide(complete_bipartite(2, 4), 2))
+    src = str(Path(spidersearch.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _REJECT_ALL_WITNESSES,
+         *argv, "--graph", host],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: {message}\n"

@@ -59,6 +59,24 @@ class TestLoad:
         with pytest.raises(GraphParseError):
             Graph.load("3 2\n0 1")
 
+    def test_leading_comment(self):
+        g = Graph.load("# a triangle\n3 3\n0 1\n1 2\n2 0\n")
+        assert g == cycle_graph(3)
+
+    def test_interleaved_and_trailing_comments(self):
+        g = Graph.load("3 2\n0 1\n# between edges\n1 2  # trailing\n")
+        assert g == Graph.from_edges(3, [(0, 1), (1, 2)])
+
+    def test_blank_lines(self):
+        g = Graph.load("\n3 2\n\n0 1\n\n1 2\n\n")
+        assert g == Graph.from_edges(3, [(0, 1), (1, 2)])
+
+    def test_errors_name_text_line_numbers(self):
+        with pytest.raises(GraphParseError, match="line 5: loop"):
+            Graph.load("# header next\n3 2\n0 1\n# comment\n1 1\n")
+        with pytest.raises(GraphParseError, match="line 3: header"):
+            Graph.load("# one\n\nthree two\n0 1\n")
+
     def test_dump_round_trip(self):
         for g in random_small_graphs(10, 12, seed=5):
             assert Graph.load(g.dump()) == g

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import random
+from itertools import combinations
 
 import pytest
 
@@ -15,6 +17,7 @@ from spidersearch.graph import (
 from spidersearch.oracle import (
     SearchBudget,
     Witness,
+    _iter_exact_paths,
     adding_edge_creates,
     are_isomorphic,
     canonical_form,
@@ -22,6 +25,7 @@ from spidersearch.oracle import (
     embedding_error,
     extremal_number,
     find_cycle,
+    first_addable_edge,
     hill_climb_free,
     is_pattern_free,
     verify_embedding,
@@ -132,6 +136,33 @@ class TestContains:
         assert res.status == "found"
         assert verify_embedding(g, res.witness)
 
+    @pytest.mark.parametrize("host,pattern,status,nodes", [
+        (cycle_graph(7), "kst:2,2^2", "absent", 6),
+        (random_gnm(16, 20, seed=7), "kst:2,2^2", "absent", 99),
+        (random_gnm(18, 26, seed=4), "cycle:17", "absent", 1803),
+        (random_gnm(18, 30, seed=4), "cycle:12", "found", 13),
+        (subdivide(complete_bipartite(2, 3), 2), "kst:2,3^2", "found", 25),
+        (random_gnm(12, 20, seed=5), "kst:2,3^2", "found", 1667),
+        (random_gnm(12, 16, seed=2), "spider:2,2*3", "absent", 1784),
+    ])
+    def test_frozen_node_counts(self, host, pattern, status, nodes):
+        # budget ticks are part of the contract: --node-limit answers and
+        # reported node counts must not move when the search is refactored
+        res = contains(host, parse_pattern(pattern), SearchBudget(10**7))
+        assert (res.status, res.nodes) == (status, nodes)
+
+    def test_long_cycle_beyond_recursion_limit(self):
+        g = cycle_graph(1500)
+        res = contains(g, parse_pattern("cycle:1500"))
+        assert res.status == "found"
+        assert verify_embedding(g, res.witness)
+
+    def test_long_template_path_beyond_recursion_limit(self):
+        g = path_graph(1499)
+        adj = [g.neighbors(v) for v in g.vertices()]
+        paths = list(_iter_exact_paths(adj, 0, 1499, 1499, set()))
+        assert paths == [tuple(range(1500))]
+
 
 class TestFindCycle:
     def test_exhaustive(self):
@@ -209,6 +240,61 @@ class TestHillClimb:
             for v in range(u + 1, 9):
                 if not g.has_edge(u, v):
                     assert adding_edge_creates(g, u, v, desc)
+
+    # (pattern, n, seed, iterations, edges, SHA-256 of Graph.dump()): the
+    # graphs the per-call exact-path search produced before distance
+    # tables were shared between candidate tests
+    FROZEN = [
+        ("cycle:4", 12, 0, 300, 21,
+         "02b21e208da1971288429b5132ca138fa86fc5ebb1a9a9db5c0f2ddb527e4979"),
+        ("cycle:4", 30, 7, 1000, 71,
+         "430fa7a084a30a98e19758588706d743e502987fd780c94139b56ff83327ace7"),
+        ("kst:2,2^2", 16, 1, 300, 33,
+         "3f007a983b420ea9ef0b4b66028ba83e7a68f264f93d61fb6e57d75321de317e"),
+        ("kst:2,2^2", 40, 5, 1500, 75,
+         "050f8903951ecf8e80dc11ca106ab5938caca878b664aa1d9f8a98397de104e5"),
+        ("cycle:6", 25, 2, 700, 46,
+         "9c3965fe90413d9cd0e1bcc51976c49b6d35aeba126a23467ca68bbb78d592c9"),
+    ]
+
+    @pytest.mark.parametrize("pattern,n,seed,iters,m,digest", FROZEN)
+    def test_frozen_edge_sets(self, pattern, n, seed, iters, m, digest):
+        g = hill_climb_free(n, parse_pattern(pattern), iters, seed)
+        assert g.m == m
+        assert hashlib.sha256(g.dump().encode()).hexdigest() == digest
+
+
+def first_addable_per_pair(g, desc):
+    for u, v in combinations(g.vertices(), 2):
+        if not g.has_edge(u, v) and not adding_edge_creates(g, u, v, desc):
+            return (u, v)
+    return None
+
+
+class TestFirstAddableEdge:
+    PATTERNS = ("cycle:4", "cycle:5", "kst:2,2^2", "kst:2,3")
+
+    def test_random_hosts(self):
+        for g in random_small_graphs(40, 10, seed=23, density=2.0):
+            for text in self.PATTERNS:
+                desc = parse_pattern(text)
+                assert first_addable_edge(g, desc) == \
+                    first_addable_per_pair(g, desc), (g, text)
+
+    @pytest.mark.parametrize("pattern,n,seed", [
+        ("cycle:4", 14, 3), ("kst:2,2^2", 18, 4), ("kst:2,2^2", 26, 9),
+    ])
+    def test_hill_climbed_hosts_and_their_edge_deletions(
+        self, pattern, n, seed
+    ):
+        desc = parse_pattern(pattern)
+        g = hill_climb_free(n, desc, 200, seed)
+        assert first_addable_edge(g, desc) is None
+        for e in g.sorted_edges()[::3]:
+            h = Graph(g.n, g.edges - {e})
+            got = first_addable_edge(h, desc)
+            assert got is not None and got <= e
+            assert got == first_addable_per_pair(h, desc)
 
 
 class TestBudgetValidation:

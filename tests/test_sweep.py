@@ -1,5 +1,7 @@
 import pytest
 
+from spidersearch import sweep
+from spidersearch.graph import cycle_graph
 from spidersearch.patterns import parse_pattern
 from spidersearch.sweep import SweepConfig, run_sweep
 
@@ -59,3 +61,12 @@ class TestRunSweep:
                           iterations=40, timing=True)
         rows, _ = run_sweep(cfg)
         assert rows[0].wall_ms >= 0
+
+    def test_non_maximal_row_names_first_addable_pair(self, monkeypatch):
+        # C9 is C8-free; (0,2) closes an 8-cycle, (0,3) does not
+        monkeypatch.setattr(sweep, "hill_climb_free",
+                            lambda n, desc, iters, seed: cycle_graph(n))
+        cfg = SweepConfig(parse_pattern("kst:2,2^2"), 9, 9)
+        with pytest.raises(RuntimeError,
+                           match=r"n=9 seed=0: not edge-maximal at \(0,3\)"):
+            run_sweep(cfg)
