@@ -13,11 +13,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from pathlib import Path
 
 from . import __version__
 from .finder import find_kstk
 from .goodness import (
+    Level,
     Thresholds,
     classify_paths,
     classify_spiders,
@@ -44,14 +46,6 @@ from .sweep import SweepConfig, run_sweep
 
 def _load_graph(path: str) -> Graph:
     return Graph.load(Path(path).read_text())
-
-
-def _parse_thresholds(text: str, L: float) -> Thresholds:
-    if text == "paper":
-        return Thresholds.paper_recursion(L)
-    if text.startswith("const:"):
-        return Thresholds.constant(int(text.split(":", 1)[1]))
-    raise ValueError(f"unknown threshold mode {text!r} (use paper or const:N)")
 
 
 def _parse_lv(text: str) -> tuple[int, ...]:
@@ -160,6 +154,12 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """One parser per process: building it costs far more than parsing."""
+    return build_parser()
+
+
 def _cmd_gen(args) -> int:
     if args.kind == "random":
         if args.n is None or args.m is None:
@@ -209,29 +209,25 @@ def _cmd_spiders_count(args) -> int:
     return 0
 
 
+def _level_counts(lvl: Level) -> dict:
+    return {"objects": lvl.total, "admissible": len(lvl.admissible),
+            "good": len(lvl.good)}
+
+
 def _cmd_classify(args) -> int:
     g = _load_graph(args.graph)
-    thr = _parse_thresholds(args.threshold, args.L)
+    thr = Thresholds.parse(args.threshold, args.L)
     paths = classify_paths(g, args.k, thr)
-    payload: dict = {"paths": {}}
-    for ell in sorted(paths.levels):
-        lvl = paths.levels[ell]
-        payload["paths"][str(ell)] = {
-            "objects": lvl.total,
-            "admissible": len(lvl.admissible),
-            "good": len(lvl.good),
-        }
+    payload: dict = {"paths": {str(ell): _level_counts(lvl)
+                               for ell, lvl in sorted(paths.levels.items())}}
     if args.lv:
         lv = _parse_lv(args.lv)
         spiders = classify_spiders(g, lv, thr, paths)
         payload["spiders"] = {}
         for vec in sorted(spiders.levels, key=lambda v: (sum(v), v)):
-            lvl = spiders.levels[vec]
             ratio = not_good_ratio(g, vec, spiders)
             payload["spiders"][",".join(map(str, vec))] = {
-                "objects": lvl.total,
-                "admissible": len(lvl.admissible),
-                "good": len(lvl.good),
+                **_level_counts(spiders.levels[vec]),
                 "not_good_ratio": (
                     "inf" if ratio == float("inf") else round(ratio, 9)
                 ),
@@ -249,7 +245,7 @@ def _cmd_classify(args) -> int:
 def _cmd_find(args) -> int:
     g = _load_graph(args.graph)
     desc = parse_pattern(args.pattern)
-    thr = _parse_thresholds(args.threshold, args.L)
+    thr = Thresholds.parse(args.threshold, args.L)
     budget = SearchBudget(node_limit=args.node_limit) if args.node_limit else None
     if desc.kind == "kst" and desc.s >= 2 and desc.t >= 2 and desc.subdivision >= 2:
         report = find_kstk(
@@ -330,7 +326,7 @@ def _cmd_sweep(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.threads < 1:
         parser.error("--threads must be >= 1")

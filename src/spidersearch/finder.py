@@ -132,7 +132,10 @@ def refine_family(
         break
 
     fam = SpiderFamily(lv, tuple(sorted(members)), delta, L, thresholds)
-    assert not family_condition_violations(fam)
+    violations = family_condition_violations(fam)
+    if violations:
+        raise RuntimeError(
+            f"refined family fails its re-check: {violations[0]}")
     return fam
 
 
@@ -283,7 +286,8 @@ def build_paths(
 
     # every grid column must consist of distinct vertices
     for col in grid:
-        assert len(set(col)) == s, "grid column collision"
+        if len(set(col)) != s:
+            raise RuntimeError(f"grid column collision at {col}")
 
     paths = []
     for i in range(s):
@@ -374,7 +378,8 @@ def assemble_blowup(
             raise ConstructionFailure(
                 e.stage, e.detail, rounds_completed=rnd
             ) from None
-        assert sp.leaf_vector == roots
+        if sp.leaf_vector != roots:
+            raise RuntimeError(f"round {rnd} spider misses the roots {roots}")
         legs_done.append(sp)
         Z |= sp.vertex_set() - set(roots)
 
@@ -435,7 +440,8 @@ def find_kstk(
     bound = thresholds.f(s * k)
     good_by_leaf = Counter(S.leaf_vector for S in full.good)
     for leaf, cnt in good_by_leaf.items():
-        assert cnt <= bound, f"threshold consistency broken at leaf {leaf}"
+        if cnt > bound:
+            raise RuntimeError(f"threshold consistency broken at leaf {leaf}")
 
     delta = G.min_degree()
     vectors = sorted(

@@ -3,26 +3,24 @@ spiders in a host graph.
 
 Classification is strictly level-by-level: goodness at length ell needs the
 complete admissible counts at ell, so each level runs two passes (flags and
-counts, then goodness marks).
+counts, then goodness marks).  Paths and spiders share that pass; they
+differ only in what makes an object admissible and in its key (endpoint
+pair or leaf vector).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
-from typing import Iterator
+from operator import attrgetter, itemgetter
+from typing import Callable, Iterable, Iterator
 
 from .graph import Graph
 from .spiders import Spider, enumerate_spiders
 
 Path = tuple[int, ...]  # vertex sequence, canonical: first < last
-Pair = tuple[int, int]
-
-try:  # gmpy2 speeds up the huge-integer recursion when present
-    from gmpy2 import mpz as _bigint
-except ImportError:  # pragma: no cover
-    _bigint = int
 
 
 def f_value(ell: int, L: float) -> int:
@@ -36,65 +34,74 @@ def f_value(ell: int, L: float) -> int:
         raise ValueError("ell must be >= 1")
     if L < 1:
         raise ValueError("L must be >= 1")
-    vals = [_bigint(math.ceil(L))]
+    vals = [math.ceil(L)]
     for m in range(2, ell + 1):
         peak = max(vals[i - 1] * vals[m - i - 1] for i in range(1, m))
         vals.append(1 + vals[m - 2] ** 16 * (m - 1) ** 2 * peak)
-    return int(vals[ell - 1])
+    return vals[ell - 1]
 
 
+@dataclass(frozen=True)
 class Thresholds:
-    """Pluggable threshold function: the real recursion, a constant, or a
-    custom table.  Constant mode exists because the recursion's values make
-    every desk-scale object good.
+    """The threshold function f(ell) and its spelling in the grammar of
+    `parse`: the real recursion, a constant, or a custom table.  Constant
+    thresholds exist because the recursion's values make every desk-scale
+    object good.
     """
 
-    def __init__(self, mode: str, L: float = 1.0,
-                 value: float = 0, table: dict[int, int] | None = None):
-        self.mode = mode
-        self.L = L
-        self.value = value
-        self.table = table or {}
-        self._cache: dict[int, int] = {}
+    f: Callable[[int], int]
+    spelling: str
 
     @classmethod
     def paper_recursion(cls, L: float) -> "Thresholds":
         if L < 1:
             raise ValueError("L must be >= 1")
-        return cls("recursion", L=L)
+        return cls(lru_cache(maxsize=None)(lambda ell: f_value(ell, L)),
+                   f"paper:L={L}")
 
     @classmethod
     def constant(cls, value: float) -> "Thresholds":
         if value < 0:
             raise ValueError("constant threshold must be >= 0")
-        return cls("constant", value=value)
+        return cls(lambda ell: value, f"const:{value}")
 
     @classmethod
     def custom(cls, table: dict[int, int]) -> "Thresholds":
-        if any(v < 0 for v in table.values()):
+        """f(ell) = table[ell], for a table giving f(1), ..., f(n)."""
+        values = [table.get(ell) for ell in range(1, len(table) + 1)]
+        if not values or None in values:
+            raise ValueError("custom thresholds must give f(1), ..., f(n)")
+        if any(v < 0 for v in values):
             raise ValueError("custom thresholds must be >= 0")
-        return cls("custom", table=dict(table))
 
-    def f(self, ell: int):
-        if self.mode == "constant":
-            return self.value
-        if self.mode == "custom":
-            try:
-                return self.table[ell]
-            except KeyError:
-                raise ValueError(f"custom table has no value for ell={ell}") from None
-        if ell not in self._cache:
-            self._cache[ell] = f_value(ell, self.L)
-        return self._cache[ell]
+        def f(ell: int) -> int:
+            if not 1 <= ell <= len(values):
+                raise ValueError(f"custom table has no value for ell={ell}")
+            return values[ell - 1]
+
+        return cls(f, "custom:" + ",".join(map(str, values)))
+
+    @classmethod
+    def parse(cls, text: str, L: float) -> "Thresholds":
+        """`paper` (the recursion with this L), `const:N`, or
+        `custom:a,b,...` (f(1) = a, f(2) = b, ...).
+        """
+        if text == "paper":
+            return cls.paper_recursion(L)
+        mode, _, arg = text.partition(":")
+        try:
+            values = [int(x) for x in arg.split(",")]
+        except ValueError:
+            values = []
+        if mode == "const" and len(values) == 1:
+            return cls.constant(values[0])
+        if mode == "custom" and values:
+            return cls.custom(dict(enumerate(values, 1)))
+        raise ValueError(f"unknown threshold mode {text!r} "
+                         "(use paper, const:N or custom:a,b,...)")
 
     def describe(self) -> str:
-        if self.mode == "constant":
-            return f"const:{self.value}"
-        if self.mode == "custom":
-            return "custom:" + ",".join(
-                f"{k}={v}" for k, v in sorted(self.table.items())
-            )
-        return f"paper:L={self.L}"
+        return self.spelling
 
 
 def canonical_path(path: Path) -> Path:
@@ -128,18 +135,44 @@ def enumerate_paths(G: Graph, length: int) -> Iterator[Path]:
 
 
 @dataclass
-class PathLevel:
-    admissible: set[Path] = field(default_factory=set)
-    good: set[Path] = field(default_factory=set)
-    counts: dict[Pair, int] = field(default_factory=dict)
-    total: int = 0
+class Level:
+    """One level of a classification: its admissible and good objects, the
+    number of admissible objects per key, and the number of objects seen.
+    """
+
+    admissible: set
+    good: set
+    counts: dict
+    total: int
+
+
+def _classify_level(objects: Iterable, is_admissible: Callable[..., bool],
+                    key: Callable, bound: float) -> Level:
+    """Count every object, key the admissible ones, and mark as good those
+    whose key is shared by at most `bound` admissible objects.
+    """
+    total = 0
+    admissible = set()
+    counts: dict = {}
+    for obj in objects:
+        total += 1
+        if is_admissible(obj):
+            admissible.add(obj)
+            k = key(obj)
+            counts[k] = counts.get(k, 0) + 1
+    good = {obj for obj in admissible if counts[key(obj)] <= bound}
+    return Level(admissible, good, counts, total)
+
+
+_ends = itemgetter(0, -1)
+_leaves = attrgetter("leaf_vector")
 
 
 @dataclass
 class PathClassification:
     k: int
     thresholds: Thresholds
-    levels: dict[int, PathLevel]
+    levels: dict[int, Level]
 
     def is_good(self, path: Path) -> bool:
         return canonical_path(path) in self.levels[len(path) - 1].good
@@ -155,50 +188,25 @@ def classify_paths(G: Graph, k: int, thresholds: Thresholds) -> PathClassificati
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    levels: dict[int, PathLevel] = {}
-
-    lvl1 = PathLevel()
-    for u, v in G.sorted_edges():
-        p = (u, v)
-        lvl1.admissible.add(p)
-        lvl1.good.add(p)
-        lvl1.counts[(u, v)] = lvl1.counts.get((u, v), 0) + 1
-        lvl1.total += 1
-    levels[1] = lvl1
-
+    levels = {1: _classify_level(
+        G.sorted_edges(), lambda p: True, _ends, math.inf)}
     for ell in range(2, k + 1):
-        lvl = PathLevel()
         prev_good = levels[ell - 1].good
-        for p in enumerate_paths(G, ell):
-            lvl.total += 1
-            if (
-                canonical_path(p[:-1]) in prev_good
-                and canonical_path(p[1:]) in prev_good
-            ):
-                lvl.admissible.add(p)
-                key = (p[0], p[-1])
-                lvl.counts[key] = lvl.counts.get(key, 0) + 1
-        bound = thresholds.f(ell)
-        for p in lvl.admissible:
-            if lvl.counts[(p[0], p[-1])] <= bound:
-                lvl.good.add(p)
-        levels[ell] = lvl
+        levels[ell] = _classify_level(
+            enumerate_paths(G, ell),
+            lambda p: (canonical_path(p[:-1]) in prev_good
+                       and canonical_path(p[1:]) in prev_good),
+            _ends,
+            thresholds.f(ell),
+        )
     return PathClassification(k=k, thresholds=thresholds, levels=levels)
-
-
-@dataclass
-class SpiderLevel:
-    admissible: set[Spider] = field(default_factory=set)
-    good: set[Spider] = field(default_factory=set)
-    counts: dict[tuple[int, ...], int] = field(default_factory=dict)
-    total: int = 0
 
 
 @dataclass
 class SpiderClassification:
     lv: tuple[int, ...]
     thresholds: Thresholds
-    levels: dict[tuple[int, ...], SpiderLevel]
+    levels: dict[tuple[int, ...], Level]
 
     def not_good_admissible(self, lv: tuple[int, ...]) -> set[Spider]:
         lvl = self.levels[lv]
@@ -221,44 +229,36 @@ def classify_spiders(
 
     A spider is admissible iff each full leg is a good path and each
     single-leg truncation by one edge is a good spider (which recursively
-    forces all deeper truncations).  Vectors are processed in increasing
-    total length.
+    forces all deeper truncations).  Legs of length 1 need neither check:
+    an edge is a good path and has no truncation.  Vectors are processed in
+    increasing total length.
     """
     if any(x < 1 for x in lv):
         raise ValueError("length vector entries must be >= 1")
     if max(lv) > paths.k:
         raise ValueError("path tables not computed up to max leg length")
-    levels: dict[tuple[int, ...], SpiderLevel] = {}
+    levels: dict[tuple[int, ...], Level] = {}
 
     for vec in _sub_vectors(lv):
-        lvl = SpiderLevel()
-        base = all(x == 1 for x in vec)
-        for S in enumerate_spiders(G, vec):
-            lvl.total += 1
-            ok = base
-            if not ok:
-                ok = all(paths.is_good(S.leg_path(i)) for i in range(len(vec)))
-                if ok:
-                    for i, li in enumerate(vec):
-                        if li == 1:
-                            continue
-                        shorter = vec[:i] + (li - 1,) + vec[i + 1:]
-                        trunc = Spider(
-                            S.centre,
-                            S.legs[:i] + (S.legs[i][:-1],) + S.legs[i + 1:],
-                        )
-                        if trunc not in levels[shorter].good:
-                            ok = False
-                            break
-            if ok:
-                lvl.admissible.add(S)
-                key = S.leaf_vector
-                lvl.counts[key] = lvl.counts.get(key, 0) + 1
-        bound = thresholds.f(sum(vec))
-        for S in lvl.admissible:
-            if lvl.counts[S.leaf_vector] <= bound:
-                lvl.good.add(S)
-        levels[vec] = lvl
+        # (leg, good spiders with that leg one edge shorter) per long leg
+        long_legs = [
+            (i, levels[vec[:i] + (li - 1,) + vec[i + 1:]].good)
+            for i, li in enumerate(vec) if li > 1
+        ]
+
+        def is_admissible(S: Spider) -> bool:
+            return all(
+                paths.is_good(S.leg_path(i))
+                and Spider(
+                    S.centre, S.legs[:i] + (S.legs[i][:-1],) + S.legs[i + 1:]
+                ) in shorter_good
+                for i, shorter_good in long_legs
+            )
+
+        levels[vec] = _classify_level(
+            enumerate_spiders(G, vec), is_admissible, _leaves,
+            thresholds.f(sum(vec)),
+        )
     return SpiderClassification(lv=lv, thresholds=thresholds, levels=levels)
 
 

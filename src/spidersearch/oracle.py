@@ -21,8 +21,10 @@ from .patterns import (
     Template,
     as_cycle_length,
     compile_template,
+    cycle_order,
     instantiate,
     parse_pattern,
+    requirement_chains,
 )
 
 
@@ -218,30 +220,25 @@ def _walk_paths(
 
 
 def _exact_path(
-    adj: list[set[int]],
+    adj: Sequence[Collection[int]],
     u: int,
     v: int,
     length: int,
     forbidden: Collection[int],
     budget: SearchBudget | None = None,
 ) -> tuple[int, ...] | None:
-    """One simple u-v path with exactly `length` edges whose vertices avoid
-    `forbidden` (endpoints exempt), or None.  DFS with distance pruning.
+    """The first simple u-v path with exactly `length` edges whose vertices
+    avoid `forbidden`, or None.
     """
-    if length < 1:
-        raise ValueError("length must be >= 1")
-    if u == v or u in forbidden or v in forbidden:
-        return None
-    dist = _distances_to(adj, v, length, forbidden)
-    return next(_walk_paths(adj, u, v, length, dist, budget), None)
+    return next(_iter_exact_paths(adj, u, v, length, forbidden, budget), None)
 
 
 def _iter_exact_paths(
-    adj: Sequence[Sequence[int]],
+    adj: Sequence[Collection[int]],
     u: int,
     v: int,
     length: int,
-    forbidden: set[int],
+    forbidden: Collection[int],
     budget: SearchBudget | None = None,
 ):
     """Iterator over all simple u-v paths of exact length avoiding
@@ -335,30 +332,6 @@ class ContainmentResult:
     nodes: int = 0
 
 
-def _instantiate_chains(tmpl: Template) -> list[list[int]]:
-    """Pattern-graph vertex chains per requirement, matching instantiate()."""
-    chains = []
-    nxt = tmpl.num_terminals
-    for a, b, length in tmpl.requirements:
-        chains.append([a] + list(range(nxt, nxt + length - 1)) + [b])
-        nxt += length - 1
-    return chains
-
-
-def _cycle_order(H: Graph) -> list[int]:
-    """Vertex order around a graph known to be a single cycle."""
-    order = [0]
-    prev, cur = None, 0
-    while True:
-        a, b = H.neighbors(cur)
-        nxt = b if a == prev else a
-        if nxt == 0:
-            break
-        order.append(nxt)
-        prev, cur = cur, nxt
-    return order
-
-
 def _cycle_containment(
     G: Graph, desc: PatternDescriptor, M: int, budget: SearchBudget | None
 ) -> ContainmentResult:
@@ -370,8 +343,8 @@ def _cycle_containment(
         return ContainmentResult("absent", nodes=budget.nodes if budget else 0)
     tmpl = compile_template(desc)
     H = instantiate(desc)
-    vmap = dict(zip(_cycle_order(H), cyc))
-    chains = _instantiate_chains(tmpl)
+    vmap = dict(zip(cycle_order(H), cyc))
+    chains = requirement_chains(tmpl)
     w = Witness(
         pattern=desc,
         terminals=tuple(vmap[i] for i in range(tmpl.num_terminals)),

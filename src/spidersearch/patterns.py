@@ -155,18 +155,42 @@ def compile_template(desc: PatternDescriptor) -> Template:
     return Template(s + t, reqs)
 
 
-def instantiate(desc: PatternDescriptor) -> Graph:
-    """Build the pattern graph itself: terminals 0..T-1, path interiors
-    appended requirement by requirement.
+def requirement_chains(tmpl: Template) -> list[list[int]]:
+    """The pattern graph's vertex chain for each requirement: terminals are
+    0..T-1, and path interiors are numbered on from T, requirement by
+    requirement.
     """
-    tmpl = compile_template(desc)
-    edges: list[tuple[int, int]] = []
+    chains = []
     nxt = tmpl.num_terminals
     for a, b, length in tmpl.requirements:
-        chain = [a] + list(range(nxt, nxt + length - 1)) + [b]
+        chains.append([a, *range(nxt, nxt + length - 1), b])
         nxt += length - 1
-        edges.extend(zip(chain, chain[1:]))
-    return Graph.from_edges(nxt, edges)
+    return chains
+
+
+def instantiate(desc: PatternDescriptor) -> Graph:
+    """Build the pattern graph itself, laid out by `requirement_chains`."""
+    tmpl = compile_template(desc)
+    chains = requirement_chains(tmpl)
+    n = tmpl.num_terminals + sum(len(chain) - 2 for chain in chains)
+    return Graph.from_edges(
+        n, [e for chain in chains for e in zip(chain, chain[1:])]
+    )
+
+
+def cycle_order(H: Graph) -> list[int]:
+    """The vertices met walking a 2-regular graph from vertex 0 until the
+    walk closes: every vertex, in cycle order, when H is a single cycle.
+    """
+    order = [0]
+    prev, cur = None, 0
+    while True:
+        a, b = H.neighbors(cur)
+        nxt = b if a == prev else a
+        if nxt == 0:
+            return order
+        order.append(nxt)
+        prev, cur = cur, nxt
 
 
 @lru_cache(maxsize=_SHAPE_CACHE_SIZE)
@@ -175,17 +199,7 @@ def as_cycle_length(desc: PatternDescriptor) -> int | None:
     H = instantiate(desc)
     if H.n == 0 or H.m != H.n or any(H.degree(v) != 2 for v in H.vertices()):
         return None
-    # connectivity: walk the 2-regular graph from vertex 0
-    seen = {0}
-    prev, cur = None, 0
-    while True:
-        a, b = H.neighbors(cur)
-        nxt = b if a == prev else a
-        if nxt == 0:
-            break
-        seen.add(nxt)
-        prev, cur = cur, nxt
-    return H.n if len(seen) == H.n else None
+    return H.n if len(cycle_order(H)) == H.n else None
 
 
 def theoretical_exponent(desc: PatternDescriptor) -> Fraction | None:

@@ -8,7 +8,7 @@ import pytest
 
 import spidersearch
 
-from spidersearch import __version__
+from spidersearch import __version__, cli
 from spidersearch.cli import main
 from spidersearch.graph import Graph, cycle_graph, subdivide, complete_bipartite
 from spidersearch.oracle import Witness, verify_embedding
@@ -139,6 +139,21 @@ class TestFind:
                          "--pattern", "kst:2,2^2")
         assert code == 2
 
+    def test_custom_threshold_matches_constant(self, capsys, tmp_path):
+        path = write_graph(tmp_path, subdivide(complete_bipartite(2, 4), 2))
+        argv = ("find", "--graph", path, "--pattern", "kst:2,2^2", "--L", "4")
+        custom = run(capsys, *argv, "--threshold", "custom:2,2,2,2")
+        const = run(capsys, *argv, "--threshold", "const:2")
+        assert custom == const and custom[0] == 0
+
+    def test_unknown_threshold_exit_2(self, capsys, tmp_path):
+        path = write_graph(tmp_path, cycle_graph(8))
+        code, out, err = run(capsys, "find", "--graph", path,
+                             "--pattern", "kst:2,2^2", "--threshold", "foo")
+        assert code == 2 and out == ""
+        assert err == ("error: unknown threshold mode 'foo' "
+                       "(use paper, const:N or custom:a,b,...)\n")
+
 
 class TestOracle:
     def test_contains_found(self, capsys, tmp_path):
@@ -201,14 +216,33 @@ class TestGlobalFlags:
                 "--lv", "1,1")
         assert a == b
 
+    def test_reused_parser_matches_fresh(self, capsys, tmp_path):
+        path = write_graph(tmp_path, cycle_graph(8))
+        calls = [
+            ("spiders", "count", "--graph", path, "--lv", "2,1", "--by-leaf"),
+            ("classify", "--graph", path, "--k", "2", "--threshold", "const:1"),
+            ("--quiet", "find", "--graph", path, "--pattern", "kst:2,2^2"),
+            ("gen", "--kind", "cycle", "--length", "5"),
+        ]
+        reused = [run(capsys, *argv) for argv in calls]
+        fresh = []
+        for argv in calls:
+            cli._parser.cache_clear()
+            fresh.append(run(capsys, *argv))
+        assert reused == fresh
+        assert [code for code, _, _ in reused] == [0, 0, 0, 0]
 
-_REJECT_ALL_WITNESSES = """
+
+_SABOTAGED_MAIN = """
 import sys
 from spidersearch import finder, oracle
 from spidersearch.cli import main
-oracle.verify_embedding = finder.verify_embedding = lambda G, w: False
+{sabotage}
 sys.exit(main(sys.argv[1:]))
 """
+_REJECT_ALL_WITNESSES = (
+    "oracle.verify_embedding = finder.verify_embedding = lambda G, w: False")
+_REFINED_FAMILY_CHECK = "refined family fails its re-check: (i) violated"
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -218,17 +252,25 @@ sys.exit(main(sys.argv[1:]))
      "search witness failed verification"),
     (["find", "--pattern", "kst:2,2^2", "--threshold", "const:1", "--L", "4"],
      "assembled witness failed verification"),
+    (["find", "--pattern", "kst:2,2^2", "--threshold", "const:1", "--L", "4"],
+     _REFINED_FAMILY_CHECK),
 ])
 def test_witness_check_survives_optimize(tmp_path, argv, message):
-    """Under `python -O` a witness that fails re-verification still ends
-    the command with an error, not with unverified output."""
+    """Under `python -O` a witness that fails re-verification, or a refined
+    family that fails its condition re-check, still ends the command with
+    an error, not with unverified output."""
+    if message == _REFINED_FAMILY_CHECK:
+        sabotage = ("finder.family_condition_violations = "
+                    "lambda fam: ['(i) violated', '(ii) violated']")
+    else:
+        sabotage = _REJECT_ALL_WITNESSES
     host = write_graph(tmp_path, subdivide(complete_bipartite(2, 4), 2))
     src = str(Path(spidersearch.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
-        [sys.executable, "-O", "-c", _REJECT_ALL_WITNESSES,
+        [sys.executable, "-O", "-c", _SABOTAGED_MAIN.format(sabotage=sabotage),
          *argv, "--graph", host],
         capture_output=True, text=True, env=env, timeout=60,
     )

@@ -64,6 +64,7 @@ class TestThresholds:
 
     def test_describe(self):
         assert Thresholds.constant(3).describe() == "const:3"
+        assert Thresholds.custom({1: 4, 2: 9}).describe() == "custom:4,9"
         assert Thresholds.paper_recursion(2.0).describe() == "paper:L=2.0"
 
     def test_validation(self):
@@ -71,6 +72,34 @@ class TestThresholds:
             Thresholds.constant(-1)
         with pytest.raises(ValueError):
             Thresholds.paper_recursion(0.5)
+        for table in ({}, {2: 5}):
+            with pytest.raises(ValueError):
+                Thresholds.custom(table)
+
+    def test_parse(self):
+        paper = Thresholds.parse("paper", 2)
+        assert paper.f(2) == 262145 and paper.describe() == "paper:L=2"
+        const = Thresholds.parse("const:3", 2)
+        assert [const.f(ell) for ell in (1, 5, 99)] == [3, 3, 3]
+        assert const.describe() == "const:3"
+        custom = Thresholds.parse("custom:4,9", 2)
+        assert (custom.f(1), custom.f(2)) == (4, 9)
+        with pytest.raises(ValueError):
+            custom.f(3)
+
+    @pytest.mark.parametrize("text", [
+        "const:", "custom:", "custom:1,x", "foo", "const:1,2", "custom:1,-2",
+    ])
+    def test_parse_rejects(self, text):
+        with pytest.raises(ValueError):
+            Thresholds.parse(text, 2)
+
+    def test_custom_describe_parses_back(self):
+        thr = Thresholds.parse("custom:4,9,0", 1)
+        again = Thresholds.parse(thr.describe(), 1)
+        assert thr.describe() == "custom:4,9,0"
+        assert [again.f(ell) for ell in (1, 2, 3)] == [4, 9, 0]
+        assert Thresholds.custom({2: 9, 1: 4}).describe() == "custom:4,9"
 
 
 class TestClassifyPaths:
