@@ -52,6 +52,13 @@ def _parse_lv(text: str) -> tuple[int, ...]:
     return tuple(int(x) for x in text.split(","))
 
 
+def _budget(args) -> SearchBudget | None:
+    """The --node-limit budget; 0 and negative limits are rejected."""
+    if args.node_limit is None:
+        return None
+    return SearchBudget(node_limit=args.node_limit)
+
+
 def _emit(text: str, out: str | None, quiet: bool) -> None:
     if out:
         Path(out).write_text(text)
@@ -235,6 +242,7 @@ def _cmd_classify(args) -> int:
     params = {
         "graph": args.graph,
         "k": args.k,
+        "L": args.L,
         "threshold": thr.describe(),
         "lv": args.lv,
     }
@@ -246,7 +254,7 @@ def _cmd_find(args) -> int:
     g = _load_graph(args.graph)
     desc = parse_pattern(args.pattern)
     thr = Thresholds.parse(args.threshold, args.L)
-    budget = SearchBudget(node_limit=args.node_limit) if args.node_limit else None
+    budget = _budget(args)
     if desc.kind == "kst" and desc.s >= 2 and desc.t >= 2 and desc.subdivision >= 2:
         report = find_kstk(
             g, desc.s, desc.t, desc.subdivision, thr, args.L, budget
@@ -270,9 +278,7 @@ def _cmd_oracle(args) -> int:
     if args.oracle_command == "contains":
         g = _load_graph(args.graph)
         desc = parse_pattern(args.pattern)
-        budget = (
-            SearchBudget(node_limit=args.node_limit) if args.node_limit else None
-        )
+        budget = _budget(args)
         res = contains(g, desc, budget)
         if res.status == "found":
             _emit(res.witness.to_json(), args.out, args.quiet)
@@ -281,9 +287,7 @@ def _cmd_oracle(args) -> int:
         return 1
     if args.oracle_command == "extremal":
         desc = parse_pattern(args.pattern)
-        budget = (
-            SearchBudget(node_limit=args.node_limit) if args.node_limit else None
-        )
+        budget = _budget(args)
         res = extremal_number(args.n, desc, budget)
         payload = {
             "n": res.n,

@@ -44,7 +44,8 @@ def f_value(ell: int, L: float) -> int:
 @dataclass(frozen=True)
 class Thresholds:
     """The threshold function f(ell) and its spelling in the grammar of
-    `parse`: the real recursion, a constant, or a custom table.  Constant
+    `parse`: the real recursion (whose L `parse` takes separately), a
+    constant, or a custom table.  Constant
     thresholds exist because the recursion's values make every desk-scale
     object good.
     """
@@ -57,7 +58,7 @@ class Thresholds:
         if L < 1:
             raise ValueError("L must be >= 1")
         return cls(lru_cache(maxsize=None)(lambda ell: f_value(ell, L)),
-                   f"paper:L={L}")
+                   "paper")
 
     @classmethod
     def constant(cls, value: float) -> "Thresholds":

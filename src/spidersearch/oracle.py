@@ -13,7 +13,7 @@ import random
 import time
 from collections.abc import Collection, Sequence
 from dataclasses import dataclass, field
-from itertools import combinations, permutations
+from itertools import combinations
 
 from .graph import Graph
 from .patterns import (
@@ -482,118 +482,78 @@ def is_pattern_free(G: Graph, desc: PatternDescriptor) -> bool:
 # -- canonical forms and isomorphism -----------------------------------------
 
 
-def _wl_colors(G: Graph) -> list[int]:
-    colors = G.degrees()
-    ncolors = len(set(colors))
+def _equitable(
+    adj: Sequence[Collection[int]], cells: list[list[int]]
+) -> list[list[int]]:
+    """Refine the ordered partition `cells` until it is equitable.  Each
+    round gives every vertex the signature of its neighbours' cell indices
+    and splits every cell by signature, the parts ordered by signature.
+    """
+    cell_of = [0] * len(adj)
     while True:
-        keys = [
-            (colors[v], tuple(sorted(colors[u] for u in G.neighbors(v))))
-            for v in G.vertices()
-        ]
-        rank = {k: i for i, k in enumerate(sorted(set(keys)))}
-        new = [rank[k] for k in keys]
-        if len(set(new)) == ncolors:
-            return new
-        colors, ncolors = new, len(set(new))
-
-
-_CANON_PERM_CAP = 2_000_000
+        for i, cell in enumerate(cells):
+            for v in cell:
+                cell_of[v] = i
+        refined: list[list[int]] = []
+        for cell in cells:
+            if len(cell) == 1:
+                refined.append(cell)
+                continue
+            parts: dict[tuple[int, ...], list[int]] = {}
+            for v in cell:
+                sig = tuple(sorted([cell_of[u] for u in adj[v]]))
+                parts.setdefault(sig, []).append(v)
+            refined.extend(parts[sig] for sig in sorted(parts))
+        if len(refined) == len(cells):
+            return cells
+        cells = refined
 
 
 def canonical_form(G: Graph) -> tuple[int, frozenset[tuple[int, int]]]:
-    """Isomorphism-invariant canonical form: minimal edge set over all
-    vertex orders consistent with the stable degree-refinement partition.
+    """Complete isomorphism invariant by individualisation-refinement
+    (McKay & Piperno, 2014): the lexicographically smallest sorted edge list
+    over the leaves of the search tree, where each node individualises a
+    vertex of the first non-singleton cell of its equitable partition and
+    a leaf numbers every vertex by its cell.  A vertex twin to one already
+    tried (N(u) - {v} = N(v) - {u}) is skipped: swapping the two is an
+    automorphism fixing the partition, so its subtree gives the same leaves.
     """
-    colors = _wl_colors(G)
-    groups: dict[int, list[int]] = {}
-    for v, c in enumerate(colors):
-        groups.setdefault(c, []).append(v)
-    blocks = [groups[c] for c in sorted(groups)]
-    count = 1
-    for b in blocks:
-        for i in range(2, len(b) + 1):
-            count *= i
-        if count > _CANON_PERM_CAP:
-            raise RuntimeError("canonical form too expensive at this size")
-
+    adj = _adj_sets(G)
     edges = G.sorted_edges()
-    best: frozenset[tuple[int, int]] | None = None
+    best: list[tuple[int, int]] | None = None
 
-    def rec(bi: int, relabel: dict[int, int], nxt: int) -> None:
+    def search(cells: list[list[int]]) -> None:
         nonlocal best
-        if bi == len(blocks):
-            mapped = frozenset(
-                (min(relabel[u], relabel[v]), max(relabel[u], relabel[v]))
+        cells = _equitable(adj, cells)
+        i = next((i for i, c in enumerate(cells) if len(c) > 1), None)
+        if i is None:
+            label = [0] * G.n
+            for pos, (v,) in enumerate(cells):
+                label[v] = pos
+            relabelled = sorted(
+                (label[u], label[v]) if label[u] < label[v]
+                else (label[v], label[u])
                 for u, v in edges
             )
-            if best is None or sorted(mapped) < sorted(best):
-                best = mapped
+            if best is None or relabelled < best:
+                best = relabelled
             return
-        for perm in permutations(blocks[bi]):
-            for i, v in enumerate(perm):
-                relabel[v] = nxt + i
-            rec(bi + 1, relabel, nxt + len(perm))
+        cell = cells[i]
+        tried: list[int] = []
+        for v in cell:
+            if any(adj[u] - {v} == adj[v] - {u} for u in tried):
+                continue
+            tried.append(v)
+            rest = [u for u in cell if u != v]
+            search(cells[:i] + [[v], rest] + cells[i + 1:])
 
-    rec(0, {}, 0)
-    assert best is not None
-    return (G.n, best)
+    search([list(G.vertices())])
+    return (G.n, frozenset(best))
 
 
 def are_isomorphic(G: Graph, H: Graph) -> bool:
-    """Backtracking isomorphism with degree-profile pruning."""
-    if G.n != H.n or G.m != H.m:
-        return False
-    if sorted(G.degrees()) != sorted(H.degrees()):
-        return False
-    if G.n == 0:
-        return True
-
-    # order H's vertices: most mapped neighbors first, then degree
-    order: list[int] = []
-    placed: set[int] = set()
-    while len(order) < H.n:
-        best = max(
-            (v for v in H.vertices() if v not in placed),
-            key=lambda v: (
-                sum(1 for u in H.neighbors(v) if u in placed),
-                H.degree(v),
-                -v,
-            ),
-        )
-        order.append(best)
-        placed.add(best)
-
-    gadj = _adj_sets(G)
-    mapping: dict[int, int] = {}
-    used: set[int] = set()
-
-    def extend(i: int) -> bool:
-        if i == H.n:
-            return True
-        v = order[i]
-        for x in G.vertices():
-            if x in used or G.degree(x) != H.degree(v):
-                continue
-            ok = True
-            for u in H.neighbors(v):
-                if u in mapping and mapping[u] not in gadj[x]:
-                    ok = False
-                    break
-            if ok:
-                for u, y in mapping.items():
-                    if y in gadj[x] and not H.has_edge(u, v):
-                        ok = False
-                        break
-            if ok:
-                mapping[v] = x
-                used.add(x)
-                if extend(i + 1):
-                    return True
-                del mapping[v]
-                used.discard(x)
-        return False
-
-    return extend(0)
+    """Equality of canonical forms."""
+    return canonical_form(G) == canonical_form(H)
 
 
 # -- extremal numbers ---------------------------------------------------------
@@ -608,7 +568,7 @@ class ExtremalResult:
     exhaustive: bool
 
 
-EXHAUSTIVE_N_LIMIT = 10
+EXHAUSTIVE_N_LIMIT = 9
 
 
 def extremal_number(
@@ -616,10 +576,11 @@ def extremal_number(
 ) -> ExtremalResult:
     """Maximum edge count of a pattern-free graph on n vertices.
 
-    Exhaustive for n <= 10: enumerate graphs by edge count descending with
-    canonical-form isomorph rejection; the first pattern-free graph found
-    settles the value.  Larger n, or budget exhaustion, falls back to the
-    hill-climbing heuristic (exhaustive flag False).
+    Exhaustive for n <= EXHAUSTIVE_N_LIMIT: enumerate graphs by edge count
+    descending with canonical-form isomorph rejection; the first
+    pattern-free graph found settles the value.  Larger n, or budget
+    exhaustion, falls back to the hill-climbing heuristic (exhaustive flag
+    False).
     """
     if n < 1:
         raise ValueError("n must be >= 1")

@@ -11,7 +11,8 @@ import spidersearch
 from spidersearch import __version__, cli
 from spidersearch.cli import main
 from spidersearch.graph import Graph, cycle_graph, subdivide, complete_bipartite
-from spidersearch.oracle import Witness, verify_embedding
+from spidersearch.oracle import Witness, is_pattern_free, verify_embedding
+from spidersearch.patterns import parse_pattern
 
 
 def run(capsys, *argv):
@@ -96,6 +97,15 @@ class TestClassify:
         doc = json.loads(out)
         assert code == 0 and "2,2" in doc["spiders"]
 
+    def test_reported_threshold_parses_back(self, capsys, tmp_path):
+        path = write_graph(tmp_path, cycle_graph(8))
+        argv = ("classify", "--graph", path, "--k", "2", "--L", "3")
+        first = run(capsys, *argv)
+        params = json.loads(first[1])["params"]
+        assert params["threshold"] == "paper" and params["L"] == 3.0
+        again = run(capsys, *argv, "--threshold", params["threshold"])
+        assert again == first
+
     def test_bad_threshold_exit_2(self, capsys, tmp_path):
         path = write_graph(tmp_path, cycle_graph(8))
         code, _, err = run(capsys, "classify", "--graph", path, "--k", "2",
@@ -174,11 +184,14 @@ class TestOracle:
         doc = json.loads(out)
         assert code == 0 and doc["value"] == 4 and doc["exhaustive"]
 
-    def test_extremal_too_large_exit_2(self, capsys):
+    def test_extremal_beyond_limit_falls_back(self, capsys):
         code, out, err = run(capsys, "oracle", "extremal", "--n", "10",
                              "--pattern", "cycle:4")
-        assert code == 2 and out == ""
-        assert err.startswith("error: canonical form too expensive")
+        doc = json.loads(out)
+        assert code == 0 and err == "" and doc["exhaustive"] is False
+        witness = Graph.from_edges(10, doc["witness_edges"])
+        assert doc["value"] == witness.m
+        assert is_pattern_free(witness, parse_pattern("cycle:4"))
 
     def test_hillclimb(self, capsys):
         code, out, _ = run(capsys, "oracle", "hillclimb", "--n", "7",
@@ -231,6 +244,19 @@ class TestGlobalFlags:
             fresh.append(run(capsys, *argv))
         assert reused == fresh
         assert [code for code, _, _ in reused] == [0, 0, 0, 0]
+
+
+@pytest.mark.parametrize("argv", [
+    ["find", "--pattern", "kst:2,2^2"],
+    ["oracle", "contains", "--pattern", "cycle:8"],
+    ["oracle", "extremal", "--n", "4", "--pattern", "cycle:4"],
+], ids=["find", "contains", "extremal"])
+def test_zero_node_limit_exit_2(capsys, tmp_path, argv):
+    if "extremal" not in argv:
+        argv = [*argv, "--graph", write_graph(tmp_path, cycle_graph(8))]
+    code, out, err = run(capsys, *argv, "--node-limit", "0")
+    assert code == 2 and out == ""
+    assert err == "error: node limit must be positive\n"
 
 
 _SABOTAGED_MAIN = """

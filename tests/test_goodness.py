@@ -65,7 +65,7 @@ class TestThresholds:
     def test_describe(self):
         assert Thresholds.constant(3).describe() == "const:3"
         assert Thresholds.custom({1: 4, 2: 9}).describe() == "custom:4,9"
-        assert Thresholds.paper_recursion(2.0).describe() == "paper:L=2.0"
+        assert Thresholds.paper_recursion(2.0).describe() == "paper"
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -78,7 +78,7 @@ class TestThresholds:
 
     def test_parse(self):
         paper = Thresholds.parse("paper", 2)
-        assert paper.f(2) == 262145 and paper.describe() == "paper:L=2"
+        assert paper.f(2) == 262145 and paper.describe() == "paper"
         const = Thresholds.parse("const:3", 2)
         assert [const.f(ell) for ell in (1, 5, 99)] == [3, 3, 3]
         assert const.describe() == "const:3"
@@ -93,6 +93,16 @@ class TestThresholds:
     def test_parse_rejects(self, text):
         with pytest.raises(ValueError):
             Thresholds.parse(text, 2)
+
+    @pytest.mark.parametrize("thr", [
+        Thresholds.paper_recursion(2.5), Thresholds.constant(3),
+        Thresholds.custom({1: 4, 2: 9, 3: 0}),
+    ], ids=["paper", "const", "custom"])
+    def test_describe_parses_back(self, thr):
+        again = Thresholds.parse(thr.describe(), 2.5)
+        assert again.describe() == thr.describe()
+        assert [again.f(ell) for ell in (1, 2, 3)] == \
+            [thr.f(ell) for ell in (1, 2, 3)]
 
     def test_custom_describe_parses_back(self):
         thr = Thresholds.parse("custom:4,9,0", 1)

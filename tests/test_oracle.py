@@ -191,6 +191,89 @@ class TestIsomorphism:
     def test_different_sizes(self):
         assert not are_isomorphic(path_graph(2), path_graph(3))
 
+    @pytest.mark.parametrize("n,classes", [
+        (1, 1), (2, 2), (3, 4), (4, 11), (5, 34), (6, 156),
+    ])
+    def test_class_counts(self, n, classes):
+        # OEIS A000088: graphs on n unlabelled vertices
+        pairs = list(combinations(range(n), 2))
+        forms = {
+            canonical_form(Graph(n, frozenset(
+                e for i, e in enumerate(pairs) if mask >> i & 1)))
+            for mask in range(1 << len(pairs))
+        }
+        assert len(forms) == classes
+
+    @pytest.mark.parametrize("g", [
+        complete_graph(10), subdivide(complete_bipartite(3, 3), 3),
+    ], ids=["K10", "K33^3"])
+    def test_symmetric_relabeling(self, g):
+        perm = list(range(g.n))
+        random.Random(11).shuffle(perm)
+        h = Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+        assert canonical_form(g) == canonical_form(h)
+        assert are_isomorphic(g, h)
+
+    def test_regular_with_two_orbits(self):
+        # K4 + K_{3,3} is 3-regular, so refinement leaves one cell holding
+        # two orbits; every vertex of that cell must be individualised
+        k4 = [(u, v) for u, v in combinations(range(4), 2)]
+        k33 = [(u, v) for u in range(3) for v in range(3, 6)]
+        g = Graph.from_edges(10, k4 + [(u + 4, v + 4) for u, v in k33])
+        h = Graph.from_edges(10, k33 + [(u + 6, v + 6) for u, v in k4])
+        assert canonical_form(g) == canonical_form(h)
+        assert are_isomorphic(g, h)
+
+    def test_rook_vs_shrikhande(self):
+        # both strongly regular (16, 6, 2, 2), hence 6-regular and
+        # indistinguishable by refinement alone
+        cells = [(i, j) for i in range(4) for j in range(4)]
+        idx = {c: v for v, c in enumerate(cells)}
+        rook = Graph.from_edges(16, [
+            (idx[a], idx[b]) for a, b in combinations(cells, 2)
+            if a[0] == b[0] or a[1] == b[1]
+        ])
+        steps = [(0, 1), (1, 0), (1, 1)]
+        shrikhande = Graph.from_edges(16, [
+            (idx[(i, j)], idx[((i + di) % 4, (j + dj) % 4)])
+            for i, j in cells for di, dj in steps
+        ])
+        assert set(rook.degrees()) == set(shrikhande.degrees()) == {6}
+        assert canonical_form(rook) != canonical_form(shrikhande)
+        assert not are_isomorphic(rook, shrikhande)
+        perm = list(range(16))
+        random.Random(2).shuffle(perm)
+        for g in (rook, shrikhande):
+            h = Graph.from_edges(16, [(perm[u], perm[v]) for u, v in g.edges])
+            assert are_isomorphic(g, h)
+
+    def test_against_networkx(self):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(29)
+        verdicts = set()
+        for _ in range(300):
+            n = rng.randint(4, 10)
+            m = rng.randint(n // 2, min(2 * n, n * (n - 1) // 2))
+            g = random_gnm(n, m, rng.randrange(2**30))
+            # random double-edge swaps keep the degree sequence
+            edges = set(g.edges)
+            for _ in range(rng.randint(0, 3)):
+                (a, b), (c, d) = rng.sample(sorted(edges), 2)
+                new = {tuple(sorted(e)) for e in ((a, d), (c, b))}
+                if len({a, b, c, d}) == 4 and not new & edges:
+                    edges = (edges - {(a, b), (c, d)}) | new
+            perm = list(range(n))
+            rng.shuffle(perm)
+            h = Graph.from_edges(n, [(perm[u], perm[v]) for u, v in edges])
+            assert sorted(g.degrees()) == sorted(h.degrees())
+            gx, hx = nx.empty_graph(n), nx.empty_graph(n)
+            gx.add_edges_from(g.edges)
+            hx.add_edges_from(h.edges)
+            want = nx.is_isomorphic(gx, hx)
+            assert are_isomorphic(g, h) == want, (g, h)
+            verdicts.add(want)
+        assert verdicts == {True, False}
+
 
 class TestExtremal:
     def test_c8_below_size(self):
