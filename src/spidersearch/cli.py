@@ -1,6 +1,7 @@
 """Command-line interface.
 
-Exit codes for `find`: 0 witness found, 1 not found, 2 input error.
+Exit codes for `find`: 0 witness found, 1 not found (also when
+--node-limit runs out first, which stderr says), 2 input error.
 Every command exits 2 with an `error:` line, not a traceback, when a
 computation gives up (a size limit, a witness that fails re-verification).
 All commands are deterministic given identical inputs and seeds; the
@@ -259,15 +260,18 @@ def _cmd_find(args) -> int:
         report = find_kstk(
             g, desc.s, desc.t, desc.subdivision, thr, args.L, budget
         )
-        witness = report.witness
+        witness, status = report.witness, report.status
         if not args.quiet:
             for note in report.notes:
                 print(f"note: {note}", file=sys.stderr)
     else:
         res = contains(g, desc, budget)
-        witness = res.witness
+        witness, status = res.witness, res.status
     if witness is None:
         if not args.quiet:
+            if status == "budget":
+                print("node limit ran out before the search finished; "
+                      "absence not shown", file=sys.stderr)
             print("no witness found", file=sys.stderr)
         return 1
     _emit(witness.to_json(), args.out, args.quiet)

@@ -1,7 +1,8 @@
-"""Constructive pipeline: refine an over-represented spider family, chain
-spiders into long legs, connect them into spiders with prescribed leg
-lengths, and assemble rooted blowups (K_{s,t} subdivisions as the special
-case of equal legs).
+"""Constructive pipeline: refine an over-represented spider family to its
+largest subfamily satisfying conditions (i) and (ii), chain spiders into
+long legs, connect them into spiders with prescribed leg lengths, and
+assemble rooted blowups (K_{s,t} subdivisions as the special case of equal
+legs).
 
 Desk-scale hosts frequently cannot complete a chain; every step reports
 failure honestly instead of forcing a result.
@@ -19,7 +20,7 @@ from .goodness import Thresholds, classify_paths, classify_spiders
 from .graph import Graph
 from .oracle import ContainmentResult, SearchBudget, Witness, contains, verify_embedding
 from .patterns import PatternDescriptor, kst_pattern, spider_blowup_pattern
-from .spiders import Spider, gamma_truncation
+from .spiders import Spider, count_by_leaf, gamma_truncation
 
 
 class ConstructionFailure(Exception):
@@ -53,9 +54,6 @@ class SpiderFamily:
     def with_leaf(self, leaf: tuple[int, ...]) -> list[Spider]:
         return self._leaf_index.get(tuple(leaf), [])
 
-    def leaf_counts(self) -> Counter:
-        return Counter(S.leaf_vector for S in self.members)
-
     def truncation_counts(self, gamma: tuple[int, ...]) -> Counter:
         return Counter(gamma_truncation(S, gamma) for S in self.members)
 
@@ -68,7 +66,7 @@ def family_condition_violations(fam: SpiderFamily) -> list[str]:
     """Independent literal re-check of refinement conditions (i) and (ii)."""
     out = []
     f = fam.thresholds.f(sum(fam.lv))
-    counts = fam.leaf_counts()
+    counts = count_by_leaf(fam.members)
     for S in fam.members:
         if 2 * counts[S.leaf_vector] < f:
             out.append(f"(i) violated at {S}")
@@ -88,10 +86,12 @@ def refine_family(
     delta: float,
     L: float,
 ) -> SpiderFamily:
-    """Discarding loop: drop the canonically smallest violator of the
-    leaf-count condition (i); only when (i) holds everywhere, drop the
-    smallest violator of the subspider-support condition (ii).  Terminates
-    with a possibly empty family satisfying both.
+    """The largest subfamily of `t0` satisfying (i) every leaf vector
+    carries at least f/2 members and (ii) every gamma-truncation class
+    carries at least delta^|gamma| / L^2 members; the order of discards
+    does not matter.  Both conditions only get harder to meet as members
+    leave, so each round drops every current violator at once, until a
+    round drops nothing.  The result may be empty.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
@@ -108,28 +108,23 @@ def refine_family(
         return SpiderFamily((), (), delta, L, thresholds)
 
     f = thresholds.f(sum(lv))
-    s = len(lv)
-    gammas = list(product((0, 1), repeat=s))
+    gammas = list(product((0, 1), repeat=len(lv)))
     thr = {g: _condition_ii_threshold(delta, L, sum(g)) for g in gammas}
 
     while members:
-        counts = Counter(S.leaf_vector for S in members)
-        viol = [S for S in members if 2 * counts[S.leaf_vector] < f]
-        if viol:
-            members.remove(min(viol))
-            continue
+        counts = count_by_leaf(members)
         tcs = {
             g: Counter(gamma_truncation(S, g) for S in members) for g in gammas
         }
-        viol = [
+        kept = {
             S
             for S in members
-            if any(tcs[g][gamma_truncation(S, g)] < thr[g] for g in gammas)
-        ]
-        if viol:
-            members.remove(min(viol))
-            continue
-        break
+            if 2 * counts[S.leaf_vector] >= f
+            and all(tcs[g][gamma_truncation(S, g)] >= thr[g] for g in gammas)
+        }
+        if len(kept) == len(members):
+            break
+        members = kept
 
     fam = SpiderFamily(lv, tuple(sorted(members)), delta, L, thresholds)
     violations = family_condition_violations(fam)
@@ -438,7 +433,7 @@ def find_kstk(
     # than the threshold itself (impossible with exact counting)
     full = spider_tables.levels[(k,) * s]
     bound = thresholds.f(s * k)
-    good_by_leaf = Counter(S.leaf_vector for S in full.good)
+    good_by_leaf = count_by_leaf(full.good)
     for leaf, cnt in good_by_leaf.items():
         if cnt > bound:
             raise RuntimeError(f"threshold consistency broken at leaf {leaf}")

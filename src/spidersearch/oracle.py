@@ -356,15 +356,11 @@ def _cycle_containment(
     return ContainmentResult("found", w, nodes=budget.nodes if budget else 0)
 
 
-def _requirement_order(tmpl: Template) -> list[int]:
+def _requirement_order(tmpl: Template, incident: dict[int, int]) -> list[int]:
     """Process requirements so each one touches already-assigned terminals
-    where possible; most-constrained terminals enter first, shorter paths
-    first on ties.
+    where possible; most-constrained terminals (by `incident`, requirements
+    per terminal) enter first, shorter paths first on ties.
     """
-    incident: dict[int, int] = {}
-    for a, b, _ in tmpl.requirements:
-        incident[a] = incident.get(a, 0) + 1
-        incident[b] = incident.get(b, 0) + 1
     remaining = list(range(len(tmpl.requirements)))
     assigned: set[int] = set()
     order = []
@@ -387,11 +383,11 @@ def _template_search(
     G: Graph, tmpl: Template, budget: SearchBudget | None
 ) -> tuple[dict[int, int], dict[int, tuple[int, ...]]] | None:
     adj = [G.neighbors(v) for v in G.vertices()]  # ascending
-    order = _requirement_order(tmpl)
     incident: dict[int, int] = {}
     for a, b, _ in tmpl.requirements:
         incident[a] = incident.get(a, 0) + 1
         incident[b] = incident.get(b, 0) + 1
+    order = _requirement_order(tmpl, incident)
 
     img: dict[int, int] = {}
     used: set[int] = set()  # terminal images + path interiors

@@ -8,6 +8,8 @@ cycle fast paths) are tested against a structurally different computation.
 from __future__ import annotations
 
 import math
+from collections import Counter
+from fractions import Fraction
 from itertools import combinations, permutations, product
 
 from spidersearch.graph import Graph
@@ -150,6 +152,49 @@ def brute_classify_spiders(
         }
         levels[vec] = {"admissible": admissible, "good": good, "counts": counts}
     return levels
+
+
+def brute_refine(t0, f, delta: float, L: float) -> tuple:
+    """Refinement by discarding one spider at a time: the canonically
+    smallest violator of the leaf-count condition (i), 2*count(leaf) >= f;
+    only when (i) holds everywhere, the smallest violator of the support
+    condition (ii), count_gamma(truncation) >= delta^|gamma| / L^2 for every
+    gamma in {0,1}^s.  `f` is the threshold function f(ell).  Returns the
+    surviving spiders, sorted.
+    """
+    def leaf(S):
+        centre, legs = S
+        return tuple(leg[-1] if leg else centre for leg in legs)
+
+    def trunc(S, gamma):
+        centre, legs = S
+        return (centre, tuple(leg[:len(leg) - g] for leg, g in zip(legs, gamma)))
+
+    members = set(t0)
+    if not members:
+        return ()
+    lv = tuple(len(leg) for leg in next(iter(members))[1])
+    bound = f(sum(lv))
+    gammas = list(product((0, 1), repeat=len(lv)))
+    while members:
+        counts = Counter(leaf(S) for S in members)
+        viol = [S for S in members if 2 * counts[leaf(S)] < bound]
+        if viol:
+            members.remove(min(viol))
+            continue
+        tcs = {g: Counter(trunc(S, g) for S in members) for g in gammas}
+        viol = [
+            S for S in members
+            if any(
+                tcs[g][trunc(S, g)] < Fraction(delta) ** sum(g) / Fraction(L) ** 2
+                for g in gammas
+            )
+        ]
+        if viol:
+            members.remove(min(viol))
+            continue
+        break
+    return tuple(sorted(members))
 
 
 def brute_contains(G: Graph, H: Graph) -> bool:

@@ -138,6 +138,27 @@ class TestFind:
                            "--pattern", "kst:2,2^2")
         assert code == 1 and "no witness" in err
 
+    @pytest.mark.parametrize("pattern", ["kst:2,2^2", "cycle:8"])
+    def test_budget_exhaustion_is_not_absence(self, capsys, tmp_path,
+                                              pattern):
+        # C8 contains both patterns, but only the oracle finds them here,
+        # and one node is not enough: find_kstk and the plain contains
+        # branch both end with status budget
+        path = write_graph(tmp_path, cycle_graph(8))
+        code, out, err = run(capsys, "find", "--graph", path,
+                             "--pattern", pattern, "--node-limit", "1")
+        assert code == 1 and out == ""
+        assert err.endswith(
+            "node limit ran out before the search finished; "
+            "absence not shown\nno witness found\n")
+
+    def test_true_negative_has_no_budget_line(self, capsys, tmp_path):
+        path = write_graph(tmp_path, cycle_graph(7))
+        code, _, err = run(capsys, "find", "--graph", path,
+                           "--pattern", "kst:2,2^2", "--node-limit", "500000")
+        assert code == 1 and err.endswith("no witness found\n")
+        assert "node limit" not in err
+
     def test_bad_pattern_exit_2(self, capsys, tmp_path):
         path = write_graph(tmp_path, cycle_graph(7))
         code, _, _ = run(capsys, "find", "--graph", path,

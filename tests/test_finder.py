@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+from bruteforce import brute_refine
 from spidersearch.finder import (
     ConstructionFailure,
     SpiderFamily,
@@ -22,6 +25,7 @@ from spidersearch.graph import (
 from spidersearch.oracle import verify_embedding
 from spidersearch.spiders import (
     Spider,
+    count_by_leaf,
     enumerate_spiders,
     gamma_truncation,
     validate_spider,
@@ -107,6 +111,55 @@ class TestRefine:
             refine_family([], Thresholds.constant(0), delta=0, L=1)
         with pytest.raises(ValueError):
             refine_family([], Thresholds.constant(0), delta=1, L=0.5)
+
+
+def _random_refine_case(rng):
+    """A random family of at most 80 spiders on a host with n <= 11, with
+    random constant threshold, delta and L: most draws discard something,
+    many empty the family."""
+    n = rng.randint(5, 11)
+    m = rng.randint(n, min(n * (n - 1) // 2, 3 * n))
+    g = random_gnm(n, m, seed=rng.randrange(10**6))
+    lv = rng.choice([(1, 1), (1, 2), (2, 1), (2, 2), (1, 1, 1)])
+    t0 = list(enumerate_spiders(g, lv))
+    if len(t0) > 80:
+        t0 = rng.sample(t0, 80)
+    thr = Thresholds.constant(rng.randint(1, 10))
+    return t0, thr, rng.randint(1, 4), rng.choice([1, 1.5, 2, 3, 4])
+
+
+class TestRefineRounds:
+    def test_matches_one_discard_at_a_time(self):
+        rng = random.Random(2024)
+        outcomes = set()
+        for _ in range(100):
+            t0, thr, delta, L = _random_refine_case(rng)
+            got = refine_family(t0, thr, delta, L).members
+            assert got == brute_refine(t0, thr.f, delta, L)
+            outcomes.add("emptied" if not got else
+                         "untouched" if len(got) == len(t0) else "partial")
+        assert outcomes == {"emptied", "untouched", "partial"}
+
+    def test_order_of_t0_does_not_matter(self):
+        g = random_gnm(10, 22, seed=0)
+        t0 = list(enumerate_spiders(g, (1, 2)))
+        thr, delta, L = Thresholds.constant(6), 3, 1.0
+        # condition (i) alone, peeled to its fixpoint, leaves a family that
+        # condition (ii) still cuts: both kinds of discard happen here
+        after_i = set(t0)
+        while True:
+            counts = count_by_leaf(after_i)
+            kept = {S for S in after_i if 2 * counts[S.leaf_vector] >= 6}
+            if kept == after_i:
+                break
+            after_i = kept
+        want = refine_family(set(t0), thr, delta, L).members
+        assert len(t0) > len(after_i) > len(want) > 0
+        shuffled = t0[:]
+        random.Random(5).shuffle(shuffled)
+        assert refine_family(shuffled, thr, delta, L).members == want
+        assert refine_family(sorted(t0, reverse=True), thr, delta,
+                             L).members == want
 
 
 class TestDisjointReps:
