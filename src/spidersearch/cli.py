@@ -217,8 +217,8 @@ def _cmd_spiders_count(args) -> int:
     return 0
 
 
-def _level_counts(lvl: Level) -> dict:
-    return {"objects": lvl.total, "admissible": len(lvl.admissible),
+def _level_counts(lvl: Level, objects: int) -> dict:
+    return {"objects": objects, "admissible": len(lvl.admissible),
             "good": len(lvl.good)}
 
 
@@ -226,7 +226,7 @@ def _cmd_classify(args) -> int:
     g = _load_graph(args.graph)
     thr = Thresholds.parse(args.threshold, args.L)
     paths = classify_paths(g, args.k, thr)
-    payload: dict = {"paths": {str(ell): _level_counts(lvl)
+    payload: dict = {"paths": {str(ell): _level_counts(lvl, lvl.total)
                                for ell, lvl in sorted(paths.levels.items())}}
     if args.lv:
         lv = _parse_lv(args.lv)
@@ -234,8 +234,11 @@ def _cmd_classify(args) -> int:
         payload["spiders"] = {}
         for vec in sorted(spiders.levels, key=lambda v: (sum(v), v)):
             ratio = not_good_ratio(g, vec, spiders)
+            # every spider with this vector, admissible or not; the
+            # classification itself examines only extensions of good ones
+            objects = sum(1 for _ in enumerate_spiders(g, vec))
             payload["spiders"][",".join(map(str, vec))] = {
-                **_level_counts(spiders.levels[vec]),
+                **_level_counts(spiders.levels[vec], objects),
                 "not_good_ratio": (
                     "inf" if ratio == float("inf") else round(ratio, 9)
                 ),

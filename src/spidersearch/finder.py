@@ -10,17 +10,17 @@ failure honestly instead of forcing a result.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
 from typing import Iterable
 
 from .goodness import Thresholds, classify_paths, classify_spiders
 from .graph import Graph
 from .oracle import ContainmentResult, SearchBudget, Witness, contains, verify_embedding
 from .patterns import PatternDescriptor, kst_pattern, spider_blowup_pattern
-from .spiders import Spider, count_by_leaf, gamma_truncation
+from .spiders import Spider, gamma_truncation, spider_layout
 
 
 class ConstructionFailure(Exception):
@@ -54,9 +54,6 @@ class SpiderFamily:
     def with_leaf(self, leaf: tuple[int, ...]) -> list[Spider]:
         return self._leaf_index.get(tuple(leaf), [])
 
-    def truncation_counts(self, gamma: tuple[int, ...]) -> Counter:
-        return Counter(gamma_truncation(S, gamma) for S in self.members)
-
 
 def _condition_ii_threshold(delta: float, L: float, weight: int) -> Fraction:
     return Fraction(delta) ** weight / Fraction(L) ** 2
@@ -66,16 +63,17 @@ def family_condition_violations(fam: SpiderFamily) -> list[str]:
     """Independent literal re-check of refinement conditions (i) and (ii)."""
     out = []
     f = fam.thresholds.f(sum(fam.lv))
-    counts = count_by_leaf(fam.members)
-    for S in fam.members:
-        if 2 * counts[S.leaf_vector] < f:
+    layout = spider_layout(fam.lv)
+    flat = [layout.flatten(S) for S in fam.members]
+    counts = Counter(map(layout.leaf, flat))
+    for S, sp in zip(fam.members, flat):
+        if 2 * counts[layout.leaf(sp)] < f:
             out.append(f"(i) violated at {S}")
-    s = len(fam.lv)
-    for gamma in product((0, 1), repeat=s):
+    for gamma, trunc in layout.truncations.items():
         thr = _condition_ii_threshold(fam.delta, fam.L, sum(gamma))
-        tc = fam.truncation_counts(gamma)
-        for S in fam.members:
-            if tc[gamma_truncation(S, gamma)] < thr:
+        tc = Counter(map(trunc, flat))
+        for S, sp in zip(fam.members, flat):
+            if tc[trunc(sp)] < thr:
                 out.append(f"(ii) violated at {S} for gamma={gamma}")
     return out
 
@@ -108,25 +106,32 @@ def refine_family(
         return SpiderFamily((), (), delta, L, thresholds)
 
     f = thresholds.f(sum(lv))
-    gammas = list(product((0, 1), repeat=len(lv)))
-    thr = {g: _condition_ii_threshold(delta, L, sum(g)) for g in gammas}
-
-    while members:
-        counts = count_by_leaf(members)
-        tcs = {
-            g: Counter(gamma_truncation(S, g) for S in members) for g in gammas
-        }
+    layout = spider_layout(lv)
+    leaf = layout.leaf
+    # counts are integers, so count >= x iff count >= ceil(x); a bound of
+    # at most 1 always holds, because a member's own class counts it
+    support = []
+    for gamma, trunc in layout.truncations.items():
+        bound = math.ceil(_condition_ii_threshold(delta, L, sum(gamma)))
+        if bound > 1:
+            support.append((trunc, bound))
+    flat = set(map(layout.flatten, members))
+    while flat:
+        counts = Counter(map(leaf, flat))
+        tcs = [(trunc, Counter(map(trunc, flat)), bound)
+               for trunc, bound in support]
         kept = {
-            S
-            for S in members
-            if 2 * counts[S.leaf_vector] >= f
-            and all(tcs[g][gamma_truncation(S, g)] >= thr[g] for g in gammas)
+            sp
+            for sp in flat
+            if 2 * counts[leaf(sp)] >= f
+            and all(tc[trunc(sp)] >= bound for trunc, tc, bound in tcs)
         }
-        if len(kept) == len(members):
+        if len(kept) == len(flat):
             break
-        members = kept
+        flat = kept
 
-    fam = SpiderFamily(lv, tuple(sorted(members)), delta, L, thresholds)
+    fam = SpiderFamily(lv, tuple(map(layout.to_spider, sorted(flat))),
+                       delta, L, thresholds)
     violations = family_condition_violations(fam)
     if violations:
         raise RuntimeError(
@@ -431,31 +436,32 @@ def find_kstk(
 
     # threshold consistency: no leaf vector may carry more good spiders
     # than the threshold itself (impossible with exact counting)
-    full = spider_tables.levels[(k,) * s]
+    levels = spider_tables.levels
+    full = levels[(k,) * s]
     bound = thresholds.f(s * k)
-    good_by_leaf = count_by_leaf(full.good)
+    good_by_leaf = Counter(map(spider_layout((k,) * s).leaf, full.good))
     for leaf, cnt in good_by_leaf.items():
         if cnt > bound:
             raise RuntimeError(f"threshold consistency broken at leaf {leaf}")
 
     delta = G.min_degree()
     vectors = sorted(
-        spider_tables.levels,
-        key=lambda v: (-len(spider_tables.not_good_admissible(v)), v),
+        levels,
+        key=lambda v: (-(len(levels[v].admissible) - len(levels[v].good)), v),
     )
     for vec in vectors:
         if sum(1 for x in vec if x == 1) > 1:
             notes.append(f"{vec}: skipped (two unit legs)")
             continue
-        t0 = spider_tables.not_good_admissible(vec)
-        if not t0:
+        if len(levels[vec].admissible) == len(levels[vec].good):
             notes.append(f"{vec}: no admissible-not-good surplus")
             continue
         tried.append(vec)
         if delta == 0:
             notes.append(f"{vec}: min degree 0, refinement impossible")
             continue
-        fam = refine_family(t0, thresholds, delta, L)
+        fam = refine_family(spider_tables.not_good_admissible(vec),
+                            thresholds, delta, L)
         if not fam.members:
             notes.append(f"{vec}: refinement emptied the family")
             continue

@@ -1,24 +1,29 @@
 """Threshold recursion and the admissible/good classification of paths and
 spiders in a host graph.
 
-Classification is strictly level-by-level: goodness at length ell needs the
-complete admissible counts at ell, so each level runs two passes (flags and
-counts, then goodness marks).  Paths and spiders share that pass; they
-differ only in what makes an object admissible and in its key (endpoint
-pair or leaf vector).
+Classification is strictly level by level: goodness at a level needs the
+complete admissible counts of that level, so each level first collects its
+admissible objects and then marks as good those whose key (endpoint pair
+or leaf vector) is rare enough (`_classify_level`, shared by paths and
+spiders).  Paths of each length are enumerated.  Spiders are enumerated
+only for the all-ones vector; every longer vector is built from the good
+spiders one edge shorter, which are the only spiders it can extend.
+Spider levels hold flat tuples `(centre, leg 1 ..., leg 2 ..., ...)` in
+the layout of their vector (`spiders.spider_layout`), not `Spider`s.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from operator import attrgetter, itemgetter
-from typing import Callable, Iterable, Iterator
+from operator import itemgetter
+from typing import Callable, Iterator
 
 from .graph import Graph
-from .spiders import Spider, enumerate_spiders
+from .spiders import FlatSpider, Spider, enumerate_spiders, spider_layout
 
 Path = tuple[int, ...]  # vertex sequence, canonical: first < last
 
@@ -138,7 +143,8 @@ def enumerate_paths(G: Graph, length: int) -> Iterator[Path]:
 @dataclass
 class Level:
     """One level of a classification: its admissible and good objects, the
-    number of admissible objects per key, and the number of objects seen.
+    number of admissible objects per key, and the number of objects the
+    level examined.
     """
 
     admissible: set
@@ -147,26 +153,17 @@ class Level:
     total: int
 
 
-def _classify_level(objects: Iterable, is_admissible: Callable[..., bool],
-                    key: Callable, bound: float) -> Level:
-    """Count every object, key the admissible ones, and mark as good those
-    whose key is shared by at most `bound` admissible objects.
+def _classify_level(admissible: set, total: int, key: Callable,
+                    bound: float) -> Level:
+    """Key the admissible objects and mark as good those whose key is
+    shared by at most `bound` admissible objects.
     """
-    total = 0
-    admissible = set()
-    counts: dict = {}
-    for obj in objects:
-        total += 1
-        if is_admissible(obj):
-            admissible.add(obj)
-            k = key(obj)
-            counts[k] = counts.get(k, 0) + 1
+    counts = Counter(map(key, admissible))
     good = {obj for obj in admissible if counts[key(obj)] <= bound}
     return Level(admissible, good, counts, total)
 
 
 _ends = itemgetter(0, -1)
-_leaves = attrgetter("leaf_vector")
 
 
 @dataclass
@@ -189,35 +186,97 @@ def classify_paths(G: Graph, k: int, thresholds: Thresholds) -> PathClassificati
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    levels = {1: _classify_level(
-        G.sorted_edges(), lambda p: True, _ends, math.inf)}
+    levels = {1: _classify_level(set(G.sorted_edges()), G.m, _ends,
+                                 math.inf)}
     for ell in range(2, k + 1):
+        bound = thresholds.f(ell)
         prev_good = levels[ell - 1].good
-        levels[ell] = _classify_level(
-            enumerate_paths(G, ell),
-            lambda p: (canonical_path(p[:-1]) in prev_good
-                       and canonical_path(p[1:]) in prev_good),
-            _ends,
-            thresholds.f(ell),
-        )
+        total = 0
+        admissible = set()
+        for p in enumerate_paths(G, ell):
+            total += 1
+            if (canonical_path(p[:-1]) in prev_good
+                    and canonical_path(p[1:]) in prev_good):
+                admissible.add(p)
+        levels[ell] = _classify_level(admissible, total, _ends, bound)
     return PathClassification(k=k, thresholds=thresholds, levels=levels)
 
 
 @dataclass
 class SpiderClassification:
+    """Spider levels; `admissible` and `good` hold flat spiders in the
+    layout `spider_layout(vec)` of their vector."""
+
     lv: tuple[int, ...]
     thresholds: Thresholds
     levels: dict[tuple[int, ...], Level]
 
     def not_good_admissible(self, lv: tuple[int, ...]) -> set[Spider]:
         lvl = self.levels[lv]
-        return lvl.admissible - lvl.good
+        return set(map(spider_layout(lv).to_spider, lvl.admissible - lvl.good))
 
 
 def _sub_vectors(lv: tuple[int, ...]) -> list[tuple[int, ...]]:
     vecs = list(product(*(range(1, x + 1) for x in lv)))
     vecs.sort(key=lambda v: (sum(v), v))
     return vecs
+
+
+def _unit(vec: tuple[int, ...], i: int) -> tuple[int, ...]:
+    """e_i, the gamma that truncates leg i by one edge."""
+    return tuple(int(j == i) for j in range(len(vec)))
+
+
+def _minus(vec: tuple[int, ...], gamma: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(x - g for x, g in zip(vec, gamma))
+
+
+def _extend_level(
+    G: Graph,
+    vec: tuple[int, ...],
+    levels: dict[tuple[int, ...], Level],
+    good_paths: dict[int, set[Path]],
+) -> tuple[set[FlatSpider], int]:
+    """The admissible spiders with vector `vec` (not all ones) and the
+    number of candidates examined.
+
+    With i the first leg longer than 1, an admissible spider's leg-i
+    truncation is a good spider, so every candidate is a good spider at
+    vec - e_i with leg i extended by one vertex; each is built exactly
+    once.  Its other legs are those of a good, hence admissible, spider, so
+    only leg i's path and the other long legs' truncations need checking.
+    """
+    i = next(j for j, x in enumerate(vec) if x > 1)
+    layout = spider_layout(vec)
+    start, pos = layout.legs[i]  # leg i occupies flat[start:pos]
+    good_legs = good_paths[vec[i]]
+    # the e_j-truncation key of a flat spider is the truncated spider's
+    # flat tuple at vec - e_j
+    others = []
+    for j in range(i + 1, len(vec)):
+        if vec[j] > 1:
+            e = _unit(vec, j)
+            others.append((layout.truncations[e], levels[_minus(vec, e)].good))
+    parents = levels[_minus(vec, _unit(vec, i))].good
+    total = 0
+    admissible = set()
+    for P in parents:
+        # in P, leg i is one vertex shorter and ends just before `pos`
+        head, tail = P[:pos - 1], P[pos - 1:]
+        leg = (P[0], *P[start:pos - 1])
+        for w in G.neighbors(P[pos - 2]):
+            if w in P:
+                continue
+            total += 1
+            if leg + (w,) not in good_legs:
+                continue
+            sp = head + (w,) + tail
+            for trunc, good in others:
+                if trunc(sp) not in good:
+                    break
+            else:
+                admissible.add(sp)
+    return admissible, total
 
 
 def classify_spiders(
@@ -232,34 +291,29 @@ def classify_spiders(
     single-leg truncation by one edge is a good spider (which recursively
     forces all deeper truncations).  Legs of length 1 need neither check:
     an edge is a good path and has no truncation.  Vectors are processed in
-    increasing total length.
+    increasing total length; only the all-ones vector is enumerated, and
+    each longer vector is built from the good spiders one edge shorter
+    (`_extend_level`).  Path goodness is looked up in per-length sets that
+    hold both orientations of every good path.
     """
     if any(x < 1 for x in lv):
         raise ValueError("length vector entries must be >= 1")
     if max(lv) > paths.k:
         raise ValueError("path tables not computed up to max leg length")
+    good_paths = {
+        ell: lvl.good | {p[::-1] for p in lvl.good}
+        for ell, lvl in paths.levels.items() if 2 <= ell <= max(lv)
+    }
     levels: dict[tuple[int, ...], Level] = {}
-
     for vec in _sub_vectors(lv):
-        # (leg, good spiders with that leg one edge shorter) per long leg
-        long_legs = [
-            (i, levels[vec[:i] + (li - 1,) + vec[i + 1:]].good)
-            for i, li in enumerate(vec) if li > 1
-        ]
-
-        def is_admissible(S: Spider) -> bool:
-            return all(
-                paths.is_good(S.leg_path(i))
-                and Spider(
-                    S.centre, S.legs[:i] + (S.legs[i][:-1],) + S.legs[i + 1:]
-                ) in shorter_good
-                for i, shorter_good in long_legs
-            )
-
-        levels[vec] = _classify_level(
-            enumerate_spiders(G, vec), is_admissible, _leaves,
-            thresholds.f(sum(vec)),
-        )
+        bound = thresholds.f(sum(vec))
+        layout = spider_layout(vec)
+        if max(vec) == 1:
+            admissible = set(map(layout.flatten, enumerate_spiders(G, vec)))
+            total = len(admissible)
+        else:
+            admissible, total = _extend_level(G, vec, levels, good_paths)
+        levels[vec] = _classify_level(admissible, total, layout.leaf, bound)
     return SpiderClassification(lv=lv, thresholds=thresholds, levels=levels)
 
 
@@ -272,5 +326,6 @@ def not_good_ratio(
     delta = G.min_degree()
     if delta == 0:
         return math.inf
-    bad = len(spiders.not_good_admissible(lv))
+    lvl = spiders.levels[lv]
+    bad = len(lvl.admissible) - len(lvl.good)
     return bad / (G.n * delta ** sum(lv))

@@ -3,12 +3,20 @@
 Legs are ordered, so swapping two equal-length legs gives a distinct
 spider.  Leg tuples exclude the centre; a generalised spider may carry
 empty legs (leaf = centre).
+
+`Spider` is the public type.  Bulk computations (classification and
+refinement) store spiders of one length vector as flat tuples
+`(centre, leg 1 ..., leg 2 ..., ...)` and read keys out of them with the
+getters of that vector's `SpiderLayout`.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterable, Iterator, NamedTuple
+from functools import lru_cache
+from itertools import accumulate, chain, product
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .graph import Graph
 
@@ -112,3 +120,48 @@ def count_by_leaf(
 ) -> Counter[tuple[int, ...]]:
     """Exact multiplicity of spiders per (ordered) leaf vector."""
     return Counter(S.leaf_vector for S in spiders)
+
+
+FlatSpider = tuple[int, ...]  # (centre, leg 1 ..., leg 2 ..., ...)
+
+
+def _picker(indices: list[int]) -> Callable[[FlatSpider], tuple[int, ...]]:
+    """A getter for the entries at `indices`, always as a tuple (a
+    one-index `itemgetter` would return the bare entry)."""
+    if len(indices) >= 2:
+        return itemgetter(*indices)
+    return lambda sp: tuple(sp[i] for i in indices)
+
+
+class SpiderLayout(NamedTuple):
+    """Where each leg of a spider with one length vector sits in its flat
+    tuple, and getters for the keys that classification and refinement
+    count.
+    """
+
+    legs: tuple[tuple[int, int], ...]  # slice bounds of each leg
+    leaf: Callable[[FlatSpider], tuple[int, ...]]  # the leaf vector
+    # gamma in {0,1}^s -> the flat tuple without the tips of the legs that
+    # gamma truncates: one key per gamma-truncation class
+    truncations: dict[tuple[int, ...], Callable[[FlatSpider], tuple[int, ...]]]
+
+    def flatten(self, S: Spider) -> FlatSpider:
+        return (S.centre, *chain.from_iterable(S.legs))
+
+    def to_spider(self, sp: FlatSpider) -> Spider:
+        return Spider(sp[0], tuple(sp[a:b] for a, b in self.legs))
+
+
+@lru_cache(maxsize=128)
+def spider_layout(lv: tuple[int, ...]) -> SpiderLayout:
+    """The flat layout of spiders with length vector lv (built once)."""
+    if any(x < 1 for x in lv):
+        raise ValueError("length vector entries must be >= 1")
+    ends = list(accumulate(lv, initial=1))
+    legs = tuple(zip(ends, ends[1:]))
+    truncations = {
+        gamma: _picker([0] + [j for (a, b), g in zip(legs, gamma)
+                              for j in range(a, b - g)])
+        for gamma in product((0, 1), repeat=len(lv))
+    }
+    return SpiderLayout(legs, _picker([b - 1 for _, b in legs]), truncations)

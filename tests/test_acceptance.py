@@ -40,6 +40,7 @@ from spidersearch.oracle import (
     verify_embedding,
 )
 from spidersearch.patterns import parse_pattern
+from spidersearch.spiders import spider_layout
 from spidersearch.sweep import SweepConfig, run_sweep
 
 from bruteforce import brute_classify_paths, brute_classify_spiders
@@ -113,7 +114,9 @@ def test_criterion_3_goodness_oracle_equivalence():
             sp = classify_spiders(g, lv, thr, cls)
             refs = brute_classify_spiders(g, lv, thr.f, ref)
             for vec, lvl in sp.levels.items():
-                got = {(S.centre, S.legs) for S in lvl.admissible}
+                to_spider = spider_layout(vec).to_spider
+                got = {(S.centre, S.legs)
+                       for S in map(to_spider, lvl.admissible)}
                 assert got == refs[vec]["admissible"], (n, m, vec)
                 assert lvl.counts == refs[vec]["counts"]
                 assert lvl.good <= lvl.admissible

@@ -10,7 +10,13 @@ import spidersearch
 
 from spidersearch import __version__, cli
 from spidersearch.cli import main
-from spidersearch.graph import Graph, cycle_graph, subdivide, complete_bipartite
+from spidersearch.graph import (
+    Graph,
+    complete_bipartite,
+    cycle_graph,
+    random_gnm,
+    subdivide,
+)
 from spidersearch.oracle import Witness, is_pattern_free, verify_embedding
 from spidersearch.patterns import parse_pattern
 
@@ -96,6 +102,21 @@ class TestClassify:
                            "--threshold", "const:1", "--lv", "2,2")
         doc = json.loads(out)
         assert code == 0 and "2,2" in doc["spiders"]
+
+    def test_spider_objects_match_spiders_count(self, capsys, tmp_path):
+        # `objects` counts every spider of the vector, not only the
+        # candidates the classification examined
+        path = write_graph(tmp_path, random_gnm(10, 18, 1))
+        code, out, _ = run(capsys, "classify", "--graph", path, "--k", "2",
+                           "--threshold", "const:1", "--lv", "2,2")
+        assert code == 0
+        spiders = json.loads(out)["spiders"]
+        assert set(spiders) == {"1,1", "1,2", "2,1", "2,2"}
+        for vec, counts in spiders.items():
+            code, out, _ = run(capsys, "spiders", "count", "--graph", path,
+                               "--lv", vec)
+            assert code == 0 and out == f"total={counts['objects']}\n"
+        assert spiders["2,2"]["objects"] > spiders["2,2"]["admissible"] > 0
 
     def test_reported_threshold_parses_back(self, capsys, tmp_path):
         path = write_graph(tmp_path, cycle_graph(8))

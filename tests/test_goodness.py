@@ -16,6 +16,7 @@ from spidersearch.graph import (
     path_graph,
     random_gnm,
 )
+from spidersearch.spiders import spider_layout
 
 from bruteforce import brute_classify_paths, brute_classify_spiders, brute_f
 from conftest import random_small_graphs
@@ -196,8 +197,10 @@ class TestClassifySpiders:
         cls = classify_spiders(g, (1, 1), thr, paths)
         lvl = cls.levels[(1, 1)]
         assert lvl.counts[(0, 1)] == 5
+        to_spider = spider_layout((1, 1)).to_spider
         assert all(
-            S not in lvl.good for S in lvl.admissible if S.leaf_vector == (0, 1)
+            S not in lvl.good for S in lvl.admissible
+            if to_spider(S).leaf_vector == (0, 1)
         )
         assert classify_spiders(
             g, (1, 1), Thresholds.constant(5), paths
@@ -225,11 +228,39 @@ class TestClassifySpiders:
                 cls = classify_spiders(g, (2, 2), thr, paths)
                 ref = brute_classify_spiders(g, (2, 2), thr.f, ref_paths)
                 for vec, lvl in cls.levels.items():
-                    got = {(S.centre, S.legs) for S in lvl.admissible}
+                    to_spider = spider_layout(vec).to_spider
+                    got = {(S.centre, S.legs)
+                           for S in map(to_spider, lvl.admissible)}
                     assert got == ref[vec]["admissible"], (g, vec)
-                    gotg = {(S.centre, S.legs) for S in lvl.good}
+                    gotg = {(S.centre, S.legs)
+                            for S in map(to_spider, lvl.good)}
                     assert gotg == ref[vec]["good"], (g, vec)
                     assert lvl.counts == ref[vec]["counts"]
+
+    @pytest.mark.parametrize("lv", [(3,), (3, 1), (1, 3, 1)])
+    def test_matches_bruteforce_leg_shapes(self, lv):
+        # one leg (whose leaf key comes from a single index), a long leg
+        # before a unit leg, and a long leg between two unit legs; the
+        # hosts include isolated vertices
+        hosts = random_small_graphs(8, 9, seed=53) + [
+            Graph.from_edges(9, [(0, 1), (1, 2), (2, 3), (1, 4), (4, 5),
+                                 (2, 5), (5, 6)]),
+        ]
+        assert any(g.min_degree() == 0 for g in hosts)
+        for g in hosts:
+            for thr in (Thresholds.constant(1), Thresholds.constant(2)):
+                paths = classify_paths(g, 3, thr)
+                ref = brute_classify_spiders(
+                    g, lv, thr.f, brute_classify_paths(g, 3, thr.f))
+                cls = classify_spiders(g, lv, thr, paths)
+                assert set(cls.levels) == set(ref)
+                for vec, lvl in cls.levels.items():
+                    to_spider = spider_layout(vec).to_spider
+                    for name in ("admissible", "good"):
+                        got = {(S.centre, S.legs)
+                               for S in map(to_spider, getattr(lvl, name))}
+                        assert got == ref[vec][name], (g, vec, name)
+                    assert lvl.counts == ref[vec]["counts"], (g, vec)
 
     def test_requires_path_tables(self):
         g = cycle_graph(5)

@@ -13,6 +13,7 @@ from spidersearch.spiders import (
     count_by_leaf,
     enumerate_spiders,
     gamma_truncation,
+    spider_layout,
     subspider,
     validate_spider,
 )
@@ -107,3 +108,33 @@ class TestCountByLeaf:
         spiders = list(enumerate_spiders(g, (2, 1)))
         counts = count_by_leaf(iter(spiders))
         assert sum(counts.values()) == len(spiders)
+
+
+class TestSpiderLayout:
+    @pytest.mark.parametrize("lv", [(1,), (3,), (1, 1), (2, 1), (1, 3, 1)])
+    def test_keys_match_spider_api(self, lv):
+        # the flat keys partition spiders exactly as leaf_vector and
+        # gamma_truncation do, including the one-leg layouts
+        layout = spider_layout(lv)
+        spiders = list(enumerate_spiders(random_gnm(9, 16, seed=8), lv))
+        assert spiders
+        for S in spiders:
+            sp = layout.flatten(S)
+            assert len(sp) == 1 + sum(lv)
+            assert layout.to_spider(sp) == S
+            assert layout.leaf(sp) == S.leaf_vector
+        for gamma, trunc in layout.truncations.items():
+            by_key = {}
+            for S in spiders:
+                by_key.setdefault(trunc(layout.flatten(S)), set()).add(
+                    gamma_truncation(S, gamma))
+            assert all(len(v) == 1 for v in by_key.values())
+            assert len(by_key) == len(
+                {gamma_truncation(S, gamma) for S in spiders})
+
+    def test_built_once_per_vector(self):
+        assert spider_layout((2, 2)) is spider_layout((2, 2))
+
+    def test_rejects_empty_legs(self):
+        with pytest.raises(ValueError):
+            spider_layout((2, 0))
