@@ -22,7 +22,7 @@ from .graph import (
     subdivide,
 )
 from .patterns import PatternDescriptor, parse_pattern
-from .spiders import Spider, count_by_leaf, enumerate_spiders, subspider
+from .spiders import enumerate_spiders, spider_layout
 from .goodness import (
     Thresholds,
     classify_paths,

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from functools import cache
 from pathlib import Path
 
@@ -41,7 +42,7 @@ from .oracle import (
 )
 from .patterns import parse_pattern
 from .regularize import RegularizeParams, extract_almost_regular
-from .spiders import count_by_leaf, enumerate_spiders
+from .spiders import enumerate_spiders, spider_layout
 from .sweep import SweepConfig, run_sweep
 
 
@@ -105,7 +106,6 @@ def build_parser() -> argparse.ArgumentParser:
     r = sub.add_parser("regularize", help="extract a dense almost-regular subgraph")
     r.add_argument("--graph", required=True)
     r.add_argument("--epsilon", type=float, required=True)
-    r.add_argument("--c", type=float, default=1.0)
     r.add_argument("--out")
 
     s = sub.add_parser("spiders", help="spider enumeration")
@@ -188,7 +188,7 @@ def _cmd_gen(args) -> int:
 def _cmd_regularize(args) -> int:
     g = _load_graph(args.graph)
     rep = extract_almost_regular(
-        g, RegularizeParams(epsilon=args.epsilon, c=args.c)
+        g, RegularizeParams(epsilon=args.epsilon)
     )
     lines = [
         f"m={rep.m}",
@@ -206,7 +206,10 @@ def _cmd_spiders_count(args) -> int:
     g = _load_graph(args.graph)
     lv = _parse_lv(args.lv)
     if args.by_leaf:
-        counts = count_by_leaf(enumerate_spiders(g, lv))
+        # the layout is built after the first spider, so that an invalid
+        # vector is reported by enumerate_spiders
+        counts = Counter(spider_layout(lv).leaf(sp)
+                         for sp in enumerate_spiders(g, lv))
         lines = ["leaf_vector,count"]
         for leaf in sorted(counts):
             lines.append(f"{'-'.join(map(str, leaf))},{counts[leaf]}")

@@ -2,7 +2,8 @@
 largest subfamily satisfying conditions (i) and (ii), chain spiders into
 long legs, connect them into spiders with prescribed leg lengths, and
 assemble rooted blowups (K_{s,t} subdivisions as the special case of equal
-legs).
+legs).  Spiders are flat tuples throughout (`spiders.spider_layout`): the
+chain compares truncation keys and reads leaf vectors with its getters.
 
 Desk-scale hosts frequently cannot complete a chain; every step reports
 failure honestly instead of forcing a result.
@@ -14,13 +15,13 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .goodness import Thresholds, classify_paths, classify_spiders
 from .graph import Graph
 from .oracle import ContainmentResult, SearchBudget, Witness, contains, verify_embedding
 from .patterns import PatternDescriptor, kst_pattern, spider_blowup_pattern
-from .spiders import Spider, gamma_truncation, spider_layout
+from .spiders import FlatSpider, spider_layout
 
 
 class ConstructionFailure(Exception):
@@ -37,21 +38,22 @@ class ConstructionFailure(Exception):
 @dataclass
 class SpiderFamily:
     lv: tuple[int, ...]
-    members: tuple[Spider, ...]  # canonically sorted
+    members: tuple[FlatSpider, ...]  # sorted
     delta: float
     L: float
     thresholds: Thresholds
-    _leaf_index: dict[tuple[int, ...], list[Spider]] = field(
+    _leaf_index: dict[tuple[int, ...], list[FlatSpider]] = field(
         init=False, repr=False
     )
 
     def __post_init__(self) -> None:
-        idx: dict[tuple[int, ...], list[Spider]] = {}
-        for S in self.members:
-            idx.setdefault(S.leaf_vector, []).append(S)
+        leaf = spider_layout(self.lv).leaf
+        idx: dict[tuple[int, ...], list[FlatSpider]] = {}
+        for sp in self.members:
+            idx.setdefault(leaf(sp), []).append(sp)
         self._leaf_index = idx
 
-    def with_leaf(self, leaf: tuple[int, ...]) -> list[Spider]:
+    def with_leaf(self, leaf: tuple[int, ...]) -> list[FlatSpider]:
         return self._leaf_index.get(tuple(leaf), [])
 
 
@@ -64,46 +66,43 @@ def family_condition_violations(fam: SpiderFamily) -> list[str]:
     out = []
     f = fam.thresholds.f(sum(fam.lv))
     layout = spider_layout(fam.lv)
-    flat = [layout.flatten(S) for S in fam.members]
-    counts = Counter(map(layout.leaf, flat))
-    for S, sp in zip(fam.members, flat):
+    counts = Counter(map(layout.leaf, fam.members))
+    for sp in fam.members:
         if 2 * counts[layout.leaf(sp)] < f:
-            out.append(f"(i) violated at {S}")
+            out.append(f"(i) violated at {sp}")
     for gamma, trunc in layout.truncations.items():
         thr = _condition_ii_threshold(fam.delta, fam.L, sum(gamma))
-        tc = Counter(map(trunc, flat))
-        for S, sp in zip(fam.members, flat):
+        tc = Counter(map(trunc, fam.members))
+        for sp in fam.members:
             if tc[trunc(sp)] < thr:
-                out.append(f"(ii) violated at {S} for gamma={gamma}")
+                out.append(f"(ii) violated at {sp} for gamma={gamma}")
     return out
 
 
 def refine_family(
-    t0: Iterable[Spider],
+    t0: Iterable[FlatSpider],
+    lv: tuple[int, ...],
     thresholds: Thresholds,
     delta: float,
     L: float,
 ) -> SpiderFamily:
-    """The largest subfamily of `t0` satisfying (i) every leaf vector
-    carries at least f/2 members and (ii) every gamma-truncation class
-    carries at least delta^|gamma| / L^2 members; the order of discards
-    does not matter.  Both conditions only get harder to meet as members
-    leave, so each round drops every current violator at once, until a
-    round drops nothing.  The result may be empty.
+    """The largest subfamily of `t0`, spiders with length vector lv,
+    satisfying (i) every leaf vector carries at least f/2 members and (ii)
+    every gamma-truncation class carries at least delta^|gamma| / L^2
+    members; the order of discards does not matter.  Both conditions only
+    get harder to meet as members leave, so each round drops every current
+    violator at once, until a round drops nothing.  The result may be
+    empty.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
     if L < 1:
         raise ValueError("L must be >= 1")
-    members = set(t0)
-    lv: tuple[int, ...] | None = None
-    for S in members:
-        if lv is None:
-            lv = S.length_vector
-        elif S.length_vector != lv:
-            raise ValueError("family members must share one length vector")
-    if lv is None:
-        return SpiderFamily((), (), delta, L, thresholds)
+    if not lv or any(x < 1 for x in lv):
+        raise ValueError("length vector entries must be >= 1")
+    flat = set(t0)
+    if any(len(sp) != 1 + sum(lv) for sp in flat):
+        raise ValueError(f"family members must have length vector {lv}")
 
     f = thresholds.f(sum(lv))
     layout = spider_layout(lv)
@@ -115,7 +114,6 @@ def refine_family(
         bound = math.ceil(_condition_ii_threshold(delta, L, sum(gamma)))
         if bound > 1:
             support.append((trunc, bound))
-    flat = set(map(layout.flatten, members))
     while flat:
         counts = Counter(map(leaf, flat))
         tcs = [(trunc, Counter(map(trunc, flat)), bound)
@@ -130,8 +128,7 @@ def refine_family(
             break
         flat = kept
 
-    fam = SpiderFamily(lv, tuple(map(layout.to_spider, sorted(flat))),
-                       delta, L, thresholds)
+    fam = SpiderFamily(lv, tuple(sorted(flat)), delta, L, thresholds)
     violations = family_condition_violations(fam)
     if violations:
         raise RuntimeError(
@@ -144,7 +141,7 @@ def refine_family(
 
 @dataclass(frozen=True)
 class DisjointReps:
-    spiders: tuple[Spider, ...]
+    spiders: tuple[FlatSpider, ...]
     shortfall: bool
 
 
@@ -152,20 +149,20 @@ def disjoint_representatives(
     fam: SpiderFamily, leaf: tuple[int, ...], quota: int
 ) -> DisjointReps:
     """Greedy maximal set of members with the given leaf vector that are
-    pairwise vertex-disjoint apart from their leaves, in canonical order;
+    pairwise vertex-disjoint apart from their leaves, in sorted order;
     stops at the quota.
     """
     if quota < 0:
         raise ValueError("quota must be >= 0")
     leaf_set = set(leaf)
-    kept: list[Spider] = []
+    kept: list[FlatSpider] = []
     kept_vs: set[int] = set()
-    for S in fam.with_leaf(leaf):
+    for sp in fam.with_leaf(leaf):
         if len(kept) >= quota:
             break
-        vs = S.vertex_set()
+        vs = set(sp)
         if (vs & kept_vs) <= leaf_set:
-            kept.append(S)
+            kept.append(sp)
             kept_vs |= vs
     return DisjointReps(tuple(kept), shortfall=len(kept) < quota)
 
@@ -178,8 +175,8 @@ class BuildResult:
     paths: tuple[tuple[int, ...], ...]  # path i runs v_i .. w_i
     start_leaves: tuple[int, ...]
     end_leaves: tuple[int, ...]
-    s_chain: tuple[Spider, ...]
-    t_chain: tuple[Spider, ...]
+    s_chain: tuple[FlatSpider, ...]
+    t_chain: tuple[FlatSpider, ...]
     z_overflow: bool  # |Z| exceeded L (reported, not enforced)
 
 
@@ -198,9 +195,16 @@ def _gamma_schedule(
     return cols
 
 
+def _truncated_leaf(
+    lv: tuple[int, ...], gamma: tuple[int, ...]
+) -> Callable[[FlatSpider], tuple[int, ...]]:
+    """The leaf getter of the spiders that gamma truncates from lv."""
+    return spider_layout(tuple(l - g for l, g in zip(lv, gamma))).leaf
+
+
 def build_paths(
     fam: SpiderFamily,
-    r0: Spider,
+    r0: FlatSpider,
     Z: Iterable[int],
     targets: tuple[int, ...],
 ) -> BuildResult:
@@ -221,17 +225,20 @@ def build_paths(
     if sum(1 for l in lv if l == 1) > 1:
         raise ValueError("at most one leg of length 1 is supported")
     zset = set(Z)
+    layout = spider_layout(lv)
 
     cols = _gamma_schedule(lv, targets)
     gamma0 = cols[0]
     want = tuple(l - g for l, g in zip(lv, gamma0))
-    if r0.length_vector != want:
+    if len(r0) != 1 + sum(want):
         raise ValueError(
-            f"r0 has length vector {r0.length_vector}, expected {want}"
+            f"r0 has {len(r0)} vertices, not a spider with length vector {want}"
         )
-    if not any(gamma_truncation(S, gamma0) == r0 for S in fam.members):
+    trunc0 = layout.truncations[gamma0]
+    if not any(trunc0(sp) == r0 for sp in fam.members):
         raise ValueError("r0 is not a truncation of any family member")
-    if zset & set(r0.leaf_vector):
+    start = spider_layout(want).leaf(r0)
+    if zset & set(start):
         raise ValueError("Z intersects the starting leaf vector")
 
     last = max(
@@ -240,21 +247,21 @@ def build_paths(
     J = last + 1
     z_overflow = len(zset) > fam.L
 
-    grid: list[tuple[int, ...]] = [r0.leaf_vector]
-    s_chain: list[Spider] = []
-    t_chain: list[Spider] = []
+    grid: list[tuple[int, ...]] = [start]
+    s_chain: list[FlatSpider] = []
+    t_chain: list[FlatSpider] = []
     r_prev = r0
     used: set[int] = set()
 
     for j in range(1, J + 1):
-        gcol_prev = cols[j - 1]
+        trunc = layout.truncations[cols[j - 1]]
         forb = zset | used
-        r_vs = r_prev.vertex_set()
+        r_vs = set(r_prev)
         s_j = None
         for M in fam.members:
-            if gamma_truncation(M, gcol_prev) != r_prev:
+            if trunc(M) != r_prev:
                 continue
-            if (M.vertex_set() - r_vs) & forb:
+            if (set(M) - r_vs) & forb:
                 continue
             s_j = M
             break
@@ -263,15 +270,15 @@ def build_paths(
                 f"S_{j}", "no family member extends the current stub cleanly"
             )
         s_chain.append(s_j)
-        used |= s_j.vertex_set()
-        grid.append(s_j.leaf_vector)
+        used |= set(s_j)
+        grid.append(layout.leaf(s_j))
 
         if j <= J - 1:
-            leaf_set = set(s_j.leaf_vector)
+            leaf_set = set(grid[-1])
             forb_t = zset | used
             t_j = None
-            for M in fam.with_leaf(s_j.leaf_vector):
-                if (M.vertex_set() - leaf_set) & forb_t:
+            for M in fam.with_leaf(grid[-1]):
+                if (set(M) - leaf_set) & forb_t:
                     continue
                 t_j = M
                 break
@@ -280,9 +287,9 @@ def build_paths(
                     f"T_{j}", "no disjoint member shares the leaf vector"
                 )
             t_chain.append(t_j)
-            used |= t_j.vertex_set()
-            r_prev = gamma_truncation(t_j, cols[j])
-            grid.append(r_prev.leaf_vector)
+            used |= set(t_j)
+            r_prev = layout.truncations[cols[j]](t_j)
+            grid.append(_truncated_leaf(lv, cols[j])(r_prev))
 
     # every grid column must consist of distinct vertices
     for col in grid:
@@ -313,7 +320,7 @@ def build_paths(
     end = grid[-1]
     return BuildResult(
         paths=tuple(paths),
-        start_leaves=r0.leaf_vector,
+        start_leaves=start,
         end_leaves=end,
         s_chain=tuple(s_chain),
         t_chain=tuple(t_chain),
@@ -323,22 +330,23 @@ def build_paths(
 
 def connect_paths(
     fam: SpiderFamily, build: BuildResult, Z: Iterable[int]
-) -> Spider:
+) -> FlatSpider:
     """Close the built paths with a family member whose leaf vector is the
-    paths' far endpoints, avoiding Z and meeting the paths only there.
+    paths' far endpoints, avoiding Z and meeting the paths only there; leg
+    i of the result runs on along path i, back to its start.
     """
     zset = set(Z)
     w = build.end_leaves
     path_vs = set().union(*(set(p) for p in build.paths))
     blocked = zset | (path_vs - set(w))
     for M in fam.with_leaf(w):
-        if M.vertex_set() & blocked:
+        if set(M) & blocked:
             continue
-        legs = tuple(
-            M.legs[i] + tuple(reversed(build.paths[i]))[1:]
-            for i in range(len(w))
-        )
-        return Spider(M.centre, legs)
+        out = [M[0]]
+        for (a, b), path in zip(spider_layout(fam.lv).legs, build.paths):
+            out += M[a:b]
+            out += reversed(path[:-1])
+        return tuple(out)
     raise ConstructionFailure(
         "connect", f"no member with leaf vector {w} avoids the paths and Z"
     )
@@ -361,15 +369,15 @@ def assemble_blowup(
         raise ConstructionFailure("assemble", "empty family", rounds_completed=0)
     if sum(1 for l in fam.lv if l == 1) > 1:
         raise ValueError("at most one leg of length 1 is supported")
-    s = len(fam.lv)
     gamma0 = _gamma_schedule(fam.lv, targets)[0]
-    r0 = gamma_truncation(fam.members[0], gamma0)
-    roots = r0.leaf_vector
+    r0 = spider_layout(fam.lv).truncations[gamma0](fam.members[0])
+    roots = _truncated_leaf(fam.lv, gamma0)(r0)
     Z = set(Z0)
     if Z & set(roots):
         raise ValueError("initial Z intersects the chosen leaf vector")
 
-    legs_done: list[Spider] = []
+    full = spider_layout(targets)
+    legs_done: list[FlatSpider] = []
     for rnd in range(t):
         try:
             build = build_paths(fam, r0, Z, targets)
@@ -378,18 +386,18 @@ def assemble_blowup(
             raise ConstructionFailure(
                 e.stage, e.detail, rounds_completed=rnd
             ) from None
-        if sp.leaf_vector != roots:
+        if full.leaf(sp) != roots:
             raise RuntimeError(f"round {rnd} spider misses the roots {roots}")
         legs_done.append(sp)
-        Z |= sp.vertex_set() - set(roots)
+        Z |= set(sp) - set(roots)
 
     if desc is None:
         desc = spider_blowup_pattern(targets, t)
     w = Witness(
         pattern=desc,
-        terminals=roots + tuple(sp.centre for sp in legs_done),
+        terminals=roots + tuple(sp[0] for sp in legs_done),
         paths=tuple(
-            (sp.centre,) + sp.legs[i] for sp in legs_done for i in range(s)
+            sp[:1] + sp[a:b] for sp in legs_done for a, b in full.legs
         ),
         route="constructive",
     )
@@ -460,7 +468,7 @@ def find_kstk(
         if delta == 0:
             notes.append(f"{vec}: min degree 0, refinement impossible")
             continue
-        fam = refine_family(spider_tables.not_good_admissible(vec),
+        fam = refine_family(spider_tables.not_good_admissible(vec), vec,
                             thresholds, delta, L)
         if not fam.members:
             notes.append(f"{vec}: refinement emptied the family")

@@ -8,8 +8,8 @@ or leaf vector) is rare enough (`_classify_level`, shared by paths and
 spiders).  Paths of each length are enumerated.  Spiders are enumerated
 only for the all-ones vector; every longer vector is built from the good
 spiders one edge shorter, which are the only spiders it can extend.
-Spider levels hold flat tuples `(centre, leg 1 ..., leg 2 ..., ...)` in
-the layout of their vector (`spiders.spider_layout`), not `Spider`s.
+Spider levels hold flat spiders, read through the layout of their vector
+(`spiders.spider_layout`).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from operator import itemgetter
 from typing import Callable, Iterator
 
 from .graph import Graph
-from .spiders import FlatSpider, Spider, enumerate_spiders, spider_layout
+from .spiders import FlatSpider, enumerate_spiders, spider_layout
 
 Path = tuple[int, ...]  # vertex sequence, canonical: first < last
 
@@ -211,9 +211,9 @@ class SpiderClassification:
     thresholds: Thresholds
     levels: dict[tuple[int, ...], Level]
 
-    def not_good_admissible(self, lv: tuple[int, ...]) -> set[Spider]:
+    def not_good_admissible(self, lv: tuple[int, ...]) -> set[FlatSpider]:
         lvl = self.levels[lv]
-        return set(map(spider_layout(lv).to_spider, lvl.admissible - lvl.good))
+        return lvl.admissible - lvl.good
 
 
 def _sub_vectors(lv: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -309,7 +309,7 @@ def classify_spiders(
         bound = thresholds.f(sum(vec))
         layout = spider_layout(vec)
         if max(vec) == 1:
-            admissible = set(map(layout.flatten, enumerate_spiders(G, vec)))
+            admissible = set(enumerate_spiders(G, vec))
             total = len(admissible)
         else:
             admissible, total = _extend_level(G, vec, levels, good_paths)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import random
-import time
 from collections.abc import Collection, Sequence
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -35,32 +34,20 @@ class BudgetExhausted(Exception):
 @dataclass
 class SearchBudget:
     node_limit: int | None = None
-    time_limit: float | None = None
     nodes: int = field(default=0, init=False)
-    _deadline: float | None = field(default=None, init=False)
 
     def __post_init__(self) -> None:
         if self.node_limit is not None and self.node_limit <= 0:
             raise ValueError("node limit must be positive")
-        if self.time_limit is not None and self.time_limit <= 0:
-            raise ValueError("time limit must be positive")
 
     def start(self) -> "SearchBudget":
         self.nodes = 0
-        if self.time_limit is not None:
-            self._deadline = time.monotonic() + self.time_limit
         return self
 
     def tick(self) -> None:
         self.nodes += 1
         if self.node_limit is not None and self.nodes > self.node_limit:
             raise BudgetExhausted("node limit reached")
-        if (
-            self._deadline is not None
-            and self.nodes % 1024 == 0
-            and time.monotonic() > self._deadline
-        ):
-            raise BudgetExhausted("time limit reached")
 
 
 # -- witnesses ---------------------------------------------------------------

@@ -37,13 +37,10 @@ def theoretical_K(epsilon: float) -> float:
 @dataclass(frozen=True)
 class RegularizeParams:
     epsilon: float
-    c: float = 1.0
 
     def __post_init__(self) -> None:
         if not (0 < self.epsilon < 1):
             raise ValueError("epsilon must be in (0,1)")
-        if self.c < 1:
-            raise ValueError("c must be >= 1")
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from typing import NamedTuple
 
 from spidersearch.graph import Graph
 
@@ -74,6 +75,30 @@ def brute_classify_paths(G: Graph, k: int, f) -> dict[int, dict]:
         good = {p for p in admissible if counts[(p[0], p[-1])] <= bound}
         levels[ell] = {"admissible": admissible, "good": good, "counts": counts}
     return levels
+
+
+class NestedSpider(NamedTuple):
+    """A spider as `(centre, legs)`, the shape `all_spiders` yields; equal
+    to the plain tuple.  Legs exclude the centre and may be empty."""
+
+    centre: int
+    legs: tuple[tuple[int, ...], ...]
+
+    @property
+    def leaf_vector(self) -> tuple[int, ...]:
+        return tuple(leg[-1] if leg else self.centre for leg in self.legs)
+
+
+def unflatten(sp: tuple[int, ...], lv: tuple[int, ...]) -> NestedSpider:
+    """Split the library's flat spider `(centre, leg 1 ..., leg 2 ...)`
+    into legs of lengths lv, by position alone."""
+    if len(sp) != 1 + sum(lv):
+        raise ValueError(f"{sp} does not have length vector {lv}")
+    legs, pos = [], 1
+    for x in lv:
+        legs.append(tuple(sp[pos:pos + x]))
+        pos += x
+    return NestedSpider(sp[0], tuple(legs))
 
 
 def all_spiders(G: Graph, lv: tuple[int, ...]) -> list:

@@ -40,10 +40,9 @@ from spidersearch.oracle import (
     verify_embedding,
 )
 from spidersearch.patterns import parse_pattern
-from spidersearch.spiders import spider_layout
 from spidersearch.sweep import SweepConfig, run_sweep
 
-from bruteforce import brute_classify_paths, brute_classify_spiders
+from bruteforce import brute_classify_paths, brute_classify_spiders, unflatten
 
 
 @contextmanager
@@ -114,9 +113,7 @@ def test_criterion_3_goodness_oracle_equivalence():
             sp = classify_spiders(g, lv, thr, cls)
             refs = brute_classify_spiders(g, lv, thr.f, ref)
             for vec, lvl in sp.levels.items():
-                to_spider = spider_layout(vec).to_spider
-                got = {(S.centre, S.legs)
-                       for S in map(to_spider, lvl.admissible)}
+                got = {unflatten(sp, vec) for sp in lvl.admissible}
                 assert got == refs[vec]["admissible"], (n, m, vec)
                 assert lvl.counts == refs[vec]["counts"]
                 assert lvl.good <= lvl.admissible
@@ -178,7 +175,7 @@ def test_criterion_5_finder_soundness():
                 cls = classify_paths(g, 2, thr)
                 sp = classify_spiders(g, (2, 2), thr, cls)
                 fam = refine_family(
-                    sp.not_good_admissible((2, 2)), thr,
+                    sp.not_good_admissible((2, 2)), (2, 2), thr,
                     delta=g.min_degree(), L=L,
                 )
                 assert family_condition_violations(fam) == []

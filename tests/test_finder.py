@@ -1,8 +1,10 @@
+import json
 import random
+from collections import Counter
 
 import pytest
 
-from bruteforce import brute_refine
+from bruteforce import brute_refine, unflatten
 from spidersearch.finder import (
     ConstructionFailure,
     SpiderFamily,
@@ -17,6 +19,7 @@ from spidersearch.finder import (
 )
 from spidersearch.goodness import Thresholds, classify_paths, classify_spiders
 from spidersearch.graph import (
+    Graph,
     complete_bipartite,
     cycle_graph,
     random_gnm,
@@ -24,12 +27,14 @@ from spidersearch.graph import (
 )
 from spidersearch.oracle import verify_embedding
 from spidersearch.spiders import (
-    Spider,
-    count_by_leaf,
     enumerate_spiders,
-    gamma_truncation,
+    spider_layout,
     validate_spider,
 )
+
+
+def leaf_vector(sp, lv):
+    return unflatten(sp, lv).leaf_vector
 
 
 _K66_CACHE = {}
@@ -41,7 +46,7 @@ def k66_family(const=240, delta=6, L=2.0):
         g = complete_bipartite(6, 6)
         thr = Thresholds.constant(const)
         fam = refine_family(
-            enumerate_spiders(g, (2, 2)), thr, delta=delta, L=L
+            enumerate_spiders(g, (2, 2)), (2, 2), thr, delta=delta, L=L
         )
         _K66_CACHE[key] = (g, fam)
     return _K66_CACHE[key]
@@ -53,29 +58,33 @@ def k24_host_family():
     paths = classify_paths(g, 2, thr)
     cls = classify_spiders(g, (2, 2), thr, paths)
     fam = refine_family(
-        cls.not_good_admissible((2, 2)), thr, delta=g.min_degree(), L=4.0
+        cls.not_good_admissible((2, 2)), (2, 2), thr, delta=g.min_degree(),
+        L=4.0,
     )
     return g, fam
 
 
 class TestRefine:
     def test_empty_in_empty_out(self):
-        fam = refine_family([], Thresholds.paper_recursion(1), delta=2, L=1)
+        fam = refine_family([], (1, 1), Thresholds.paper_recursion(1),
+                            delta=2, L=1)
         assert fam.members == ()
 
     def test_single_spider_dropped(self):
         # f(2,2) is huge, so a lone spider cannot meet the leaf-count bound
         S = next(iter(enumerate_spiders(complete_bipartite(2, 2), (1, 1))))
-        fam = refine_family([S], Thresholds.paper_recursion(2), delta=1, L=1)
+        fam = refine_family([S], (1, 1), Thresholds.paper_recursion(2),
+                            delta=1, L=1)
         assert fam.members == ()
 
     def test_disjoint_identical_leaf_family_survives(self):
         # q internally disjoint spiders on one leaf vector, delta = 1
         g = complete_bipartite(2, 5)
-        t0 = [S for S in enumerate_spiders(g, (1, 1))
-              if S.leaf_vector == (0, 1)]
+        t0 = [sp for sp in enumerate_spiders(g, (1, 1))
+              if leaf_vector(sp, (1, 1)) == (0, 1)]
         assert len(t0) == 5
-        fam = refine_family(t0, Thresholds.constant(5), delta=1, L=1)
+        fam = refine_family(t0, (1, 1), Thresholds.constant(5), delta=1,
+                            L=1)
         assert len(fam.members) == 5
 
     def test_rare_leaf_vectors_discarded(self):
@@ -83,11 +92,12 @@ class TestRefine:
         # threshold 6 keeps exactly the hub-leaf members
         g = complete_bipartite(2, 5)
         fam = refine_family(
-            enumerate_spiders(g, (1, 1)), Thresholds.constant(6),
+            enumerate_spiders(g, (1, 1)), (1, 1), Thresholds.constant(6),
             delta=2, L=2,
         )
         assert len(fam.members) == 10
-        assert {S.leaf_vector for S in fam.members} == {(0, 1), (1, 0)}
+        assert {leaf_vector(sp, (1, 1)) for sp in fam.members} == \
+            {(0, 1), (1, 0)}
 
     def test_conditions_verified_independently(self):
         _, fam = k66_family()
@@ -104,13 +114,14 @@ class TestRefine:
         mix = list(enumerate_spiders(g, (1, 1)))[:1] + list(
             enumerate_spiders(g, (1, 2)))[:1]
         with pytest.raises(ValueError):
-            refine_family(mix, Thresholds.constant(0), delta=1, L=1)
+            refine_family(mix, (1, 1), Thresholds.constant(0), delta=1, L=1)
 
     def test_param_validation(self):
         with pytest.raises(ValueError):
-            refine_family([], Thresholds.constant(0), delta=0, L=1)
+            refine_family([], (1, 1), Thresholds.constant(0), delta=0, L=1)
         with pytest.raises(ValueError):
-            refine_family([], Thresholds.constant(0), delta=1, L=0.5)
+            refine_family([], (1, 1), Thresholds.constant(0), delta=1,
+                          L=0.5)
 
 
 def _random_refine_case(rng):
@@ -125,7 +136,7 @@ def _random_refine_case(rng):
     if len(t0) > 80:
         t0 = rng.sample(t0, 80)
     thr = Thresholds.constant(rng.randint(1, 10))
-    return t0, thr, rng.randint(1, 4), rng.choice([1, 1.5, 2, 3, 4])
+    return t0, lv, thr, rng.randint(1, 4), rng.choice([1, 1.5, 2, 3, 4])
 
 
 class TestRefineRounds:
@@ -133,9 +144,11 @@ class TestRefineRounds:
         rng = random.Random(2024)
         outcomes = set()
         for _ in range(100):
-            t0, thr, delta, L = _random_refine_case(rng)
-            got = refine_family(t0, thr, delta, L).members
-            assert got == brute_refine(t0, thr.f, delta, L)
+            t0, lv, thr, delta, L = _random_refine_case(rng)
+            got = refine_family(t0, lv, thr, delta, L).members
+            # sorted flat spiders are the sorted nested ones, flattened
+            assert tuple(unflatten(sp, lv) for sp in got) == brute_refine(
+                [unflatten(sp, lv) for sp in t0], thr.f, delta, L)
             outcomes.add("emptied" if not got else
                          "untouched" if len(got) == len(t0) else "partial")
         assert outcomes == {"emptied", "untouched", "partial"}
@@ -148,42 +161,43 @@ class TestRefineRounds:
         # condition (ii) still cuts: both kinds of discard happen here
         after_i = set(t0)
         while True:
-            counts = count_by_leaf(after_i)
-            kept = {S for S in after_i if 2 * counts[S.leaf_vector] >= 6}
+            counts = Counter(leaf_vector(sp, (1, 2)) for sp in after_i)
+            kept = {sp for sp in after_i
+                    if 2 * counts[leaf_vector(sp, (1, 2))] >= 6}
             if kept == after_i:
                 break
             after_i = kept
-        want = refine_family(set(t0), thr, delta, L).members
+        want = refine_family(set(t0), (1, 2), thr, delta, L).members
         assert len(t0) > len(after_i) > len(want) > 0
         shuffled = t0[:]
         random.Random(5).shuffle(shuffled)
-        assert refine_family(shuffled, thr, delta, L).members == want
-        assert refine_family(sorted(t0, reverse=True), thr, delta,
+        assert refine_family(shuffled, (1, 2), thr, delta, L).members == want
+        assert refine_family(sorted(t0, reverse=True), (1, 2), thr, delta,
                              L).members == want
 
 
 class TestDisjointReps:
     def test_k2q_all_kept(self):
         g = complete_bipartite(2, 5)
-        t0 = [S for S in enumerate_spiders(g, (1, 1))
-              if S.leaf_vector == (0, 1)]
+        t0 = [sp for sp in enumerate_spiders(g, (1, 1))
+              if leaf_vector(sp, (1, 1)) == (0, 1)]
         fam = SpiderFamily((1, 1), tuple(sorted(t0)), 1, 1,
                            Thresholds.constant(0))
         reps = disjoint_representatives(fam, (0, 1), quota=5)
         assert len(reps.spiders) == 5 and not reps.shortfall
         for i, a in enumerate(reps.spiders):
             for b in reps.spiders[i + 1:]:
-                assert a.vertex_set() & b.vertex_set() <= {0, 1}
+                assert set(a) & set(b) <= {0, 1}
 
     def test_quota_zero(self):
         _, fam = k66_family()
-        leaf = fam.members[0].leaf_vector
+        leaf = leaf_vector(fam.members[0], fam.lv)
         assert disjoint_representatives(fam, leaf, 0).spiders == ()
 
     def test_shortfall(self):
         g = complete_bipartite(2, 5)
-        t0 = [S for S in enumerate_spiders(g, (1, 1))
-              if S.leaf_vector == (0, 1)]
+        t0 = [sp for sp in enumerate_spiders(g, (1, 1))
+              if leaf_vector(sp, (1, 1)) == (0, 1)]
         fam = SpiderFamily((1, 1), tuple(sorted(t0)), 1, 1,
                            Thresholds.constant(0))
         reps = disjoint_representatives(fam, (0, 1), quota=9)
@@ -191,8 +205,8 @@ class TestDisjointReps:
 
     def test_internal_sharing_keeps_first(self):
         members = (
-            Spider(2, ((0,), (5, 1))),
-            Spider(3, ((0,), (5, 1))),
+            (2, 0, 5, 1),
+            (3, 0, 5, 1),
         )
         fam = SpiderFamily((1, 2), members, 1, 1, Thresholds.constant(0))
         reps = disjoint_representatives(fam, (0, 1), quota=2)
@@ -217,14 +231,15 @@ class TestBuildPaths:
         _, fam = k66_family()
         r0 = fam.members[0]
         res = build_paths(fam, r0, set(), (2, 2))
-        assert res.paths == tuple((v,) for v in r0.leaf_vector)
-        assert res.end_leaves == r0.leaf_vector
+        leaf = leaf_vector(r0, (2, 2))
+        assert res.paths == tuple((v,) for v in leaf)
+        assert res.end_leaves == leaf
         assert res.s_chain == () and res.t_chain == ()
 
     def test_two_unit_legs_rejected(self):
         g = complete_bipartite(2, 5)
-        t0 = [S for S in enumerate_spiders(g, (1, 1))
-              if S.leaf_vector == (0, 1)]
+        t0 = [sp for sp in enumerate_spiders(g, (1, 1))
+              if leaf_vector(sp, (1, 1)) == (0, 1)]
         fam = SpiderFamily((1, 1), tuple(sorted(t0)), 1, 1,
                            Thresholds.constant(0))
         with pytest.raises(ValueError, match="one leg"):
@@ -237,7 +252,7 @@ class TestBuildPaths:
 
     def test_wrong_r0_rejected(self):
         _, fam = k66_family()
-        bad = gamma_truncation(fam.members[0], (1, 1))
+        bad = spider_layout((2, 2)).truncations[(1, 1)](fam.members[0])
         with pytest.raises(ValueError, match="length vector"):
             build_paths(fam, bad, set(), (2, 2))
 
@@ -245,23 +260,23 @@ class TestBuildPaths:
         _, fam = k66_family()
         r0 = fam.members[0]
         with pytest.raises(ValueError, match="Z intersects"):
-            build_paths(fam, r0, set(r0.leaf_vector), (2, 2))
+            build_paths(fam, r0, set(leaf_vector(r0, (2, 2))), (2, 2))
 
     def test_even_extension_chain(self):
         g, fam = k66_family()
         r0 = fam.members[0]
         res = build_paths(fam, r0, set(), (2, 4))
         assert [len(p) - 1 for p in res.paths] == [0, 2]
-        assert res.paths[0][0] == r0.leaf_vector[0]
-        assert res.paths[1][0] == r0.leaf_vector[1]
+        assert (res.paths[0][0], res.paths[1][0]) == leaf_vector(r0, (2, 2))
         assert not set(res.paths[0]) & set(res.paths[1])
-        assert res.end_leaves in {S.leaf_vector for S in fam.members}
+        assert res.end_leaves in {leaf_vector(sp, (2, 2))
+                                  for sp in fam.members}
         for u, v in zip(res.paths[1], res.paths[1][1:]):
             assert g.has_edge(u, v)
 
     def test_odd_extension_chain(self):
         g, fam = k66_family()
-        r0 = gamma_truncation(fam.members[0], (1, 1))
+        r0 = spider_layout((2, 2)).truncations[(1, 1)](fam.members[0])
         res = build_paths(fam, r0, set(), (3, 3))
         assert [len(p) - 1 for p in res.paths] == [1, 1]
         for p in res.paths:
@@ -270,7 +285,7 @@ class TestBuildPaths:
     def test_avoids_z(self):
         g, fam = k66_family()
         r0 = fam.members[0]
-        z = {v for v in range(g.n) if v not in r0.vertex_set()} & {2, 8}
+        z = {v for v in range(g.n) if v not in r0} & {2, 8}
         res = build_paths(fam, r0, z, (2, 4))
         for p in res.paths:
             assert not set(p) & z
@@ -281,14 +296,14 @@ class TestConnect:
         g, fam = k66_family()
         res = build_paths(fam, fam.members[0], set(), (2, 4))
         sp = connect_paths(fam, res, set())
-        assert sp.length_vector == (2, 4)
-        assert sp.leaf_vector == res.start_leaves
-        validate_spider(g, sp)
+        assert leaf_vector(sp, (2, 4)) == res.start_leaves
+        validate_spider(g, sp, (2, 4))
 
     def test_blocked_by_z(self):
         _, fam = k66_family()
         res = build_paths(fam, fam.members[0], set(), (2, 2))
-        z = {S.centre for S in fam.with_leaf(res.end_leaves)}
+        z = {unflatten(sp, (2, 2)).centre
+             for sp in fam.with_leaf(res.end_leaves)}
         with pytest.raises(ConstructionFailure, match="connect"):
             connect_paths(fam, res, z)
 
@@ -352,3 +367,50 @@ class TestFindKstk:
     def test_params_validated(self):
         with pytest.raises(ValueError):
             find_kstk(cycle_graph(8), 1, 2, 2, Thresholds.constant(1), 1.0)
+
+
+def _witness_json(roots, paths):
+    doc = {"pattern": "kst:2,2^2", "roots": roots, "paths": paths,
+           "route": "constructive"}
+    return json.dumps(doc, indent=2) + "\n"
+
+
+class TestPinnedConstructiveWitnesses:
+    """The exact witnesses the constructive route prints, one per kind of
+    answering vector: (2,2); (1,2), where r0 is a generalised spider with
+    an empty leg; and (2,1), after (1,2) failed.  The two fuzz hosts are
+    hosts #12 and #89 of criterion 5's stream (seed 5055)."""
+
+    def test_k24_subdivision_from_22(self):
+        g = subdivide(complete_bipartite(2, 4), 2)
+        rep = find_kstk(g, 2, 2, 2, Thresholds.constant(1), L=4.0)
+        assert (rep.status, rep.tried, rep.notes) == (
+            "constructive", ((2, 2),), ())
+        assert rep.witness.to_json() == _witness_json(
+            [2, 3, 0, 1],
+            [[0, 6, 2], [0, 7, 3], [1, 10, 2], [1, 11, 3]])
+
+    def test_fuzz_host_12_from_12(self):
+        g = Graph.from_edges(12, [
+            (0, 4), (0, 6), (0, 10), (1, 8), (1, 10), (2, 4), (2, 5),
+            (2, 9), (2, 10), (3, 7), (3, 11), (4, 5), (5, 7), (5, 10),
+            (6, 7), (6, 10), (8, 9), (9, 10), (10, 11)])
+        rep = find_kstk(g, 2, 2, 2, Thresholds.constant(1), L=4.0)
+        assert (rep.status, rep.tried, rep.notes) == (
+            "constructive", ((1, 2),), ("(1, 1): skipped (two unit legs)",))
+        assert rep.witness.to_json() == _witness_json(
+            [0, 7, 2, 11],
+            [[2, 4, 0], [2, 5, 7], [11, 10, 0], [11, 3, 7]])
+
+    def test_fuzz_host_89_from_21(self):
+        g = Graph.from_edges(11, [
+            (0, 5), (0, 6), (0, 7), (0, 10), (1, 5), (1, 8), (1, 9),
+            (1, 10), (2, 3), (2, 5), (2, 8), (3, 5), (3, 6), (3, 9), (4, 7),
+            (4, 10), (5, 8), (6, 10), (9, 10)])
+        rep = find_kstk(g, 2, 2, 2, Thresholds.constant(2), L=4.0)
+        assert (rep.status, rep.tried, rep.notes) == (
+            "constructive", ((1, 2), (2, 1)),
+            ("(1, 2): chain failed at connect after 1 rounds",))
+        assert rep.witness.to_json() == _witness_json(
+            [1, 0, 3, 4],
+            [[3, 5, 1], [3, 6, 0], [4, 10, 1], [4, 7, 0]])

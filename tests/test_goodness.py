@@ -16,9 +16,13 @@ from spidersearch.graph import (
     path_graph,
     random_gnm,
 )
-from spidersearch.spiders import spider_layout
 
-from bruteforce import brute_classify_paths, brute_classify_spiders, brute_f
+from bruteforce import (
+    brute_classify_paths,
+    brute_classify_spiders,
+    brute_f,
+    unflatten,
+)
 from conftest import random_small_graphs
 
 BIG = 10**9
@@ -197,10 +201,9 @@ class TestClassifySpiders:
         cls = classify_spiders(g, (1, 1), thr, paths)
         lvl = cls.levels[(1, 1)]
         assert lvl.counts[(0, 1)] == 5
-        to_spider = spider_layout((1, 1)).to_spider
         assert all(
-            S not in lvl.good for S in lvl.admissible
-            if to_spider(S).leaf_vector == (0, 1)
+            sp not in lvl.good for sp in lvl.admissible
+            if unflatten(sp, (1, 1)).leaf_vector == (0, 1)
         )
         assert classify_spiders(
             g, (1, 1), Thresholds.constant(5), paths
@@ -228,12 +231,9 @@ class TestClassifySpiders:
                 cls = classify_spiders(g, (2, 2), thr, paths)
                 ref = brute_classify_spiders(g, (2, 2), thr.f, ref_paths)
                 for vec, lvl in cls.levels.items():
-                    to_spider = spider_layout(vec).to_spider
-                    got = {(S.centre, S.legs)
-                           for S in map(to_spider, lvl.admissible)}
+                    got = {unflatten(sp, vec) for sp in lvl.admissible}
                     assert got == ref[vec]["admissible"], (g, vec)
-                    gotg = {(S.centre, S.legs)
-                            for S in map(to_spider, lvl.good)}
+                    gotg = {unflatten(sp, vec) for sp in lvl.good}
                     assert gotg == ref[vec]["good"], (g, vec)
                     assert lvl.counts == ref[vec]["counts"]
 
@@ -255,10 +255,9 @@ class TestClassifySpiders:
                 cls = classify_spiders(g, lv, thr, paths)
                 assert set(cls.levels) == set(ref)
                 for vec, lvl in cls.levels.items():
-                    to_spider = spider_layout(vec).to_spider
                     for name in ("admissible", "good"):
-                        got = {(S.centre, S.legs)
-                               for S in map(to_spider, getattr(lvl, name))}
+                        got = {unflatten(sp, vec)
+                               for sp in getattr(lvl, name)}
                         assert got == ref[vec][name], (g, vec, name)
                     assert lvl.counts == ref[vec]["counts"], (g, vec)
 

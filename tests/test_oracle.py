@@ -384,5 +384,3 @@ class TestBudgetValidation:
     def test_positive_limits(self):
         with pytest.raises(ValueError):
             SearchBudget(node_limit=0)
-        with pytest.raises(ValueError):
-            SearchBudget(time_limit=-1)

@@ -89,8 +89,6 @@ class TestExtract:
             RegularizeParams(epsilon=0.0)
         with pytest.raises(ValueError):
             RegularizeParams(epsilon=1.0)
-        with pytest.raises(ValueError):
-            RegularizeParams(epsilon=0.5, c=0.5)
 
     def test_theoretical_K(self):
         # 20 * 2^(1/eps^2 + 1) at eps = 1 is 80

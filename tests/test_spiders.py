@@ -1,7 +1,11 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spidersearch.finder import refine_family
+from spidersearch.goodness import Thresholds
 from spidersearch.graph import (
     complete_bipartite,
     complete_graph,
@@ -9,16 +13,12 @@ from spidersearch.graph import (
     random_gnm,
 )
 from spidersearch.spiders import (
-    Spider,
-    count_by_leaf,
     enumerate_spiders,
-    gamma_truncation,
     spider_layout,
-    subspider,
     validate_spider,
 )
 
-from bruteforce import all_spiders
+from bruteforce import all_spiders, unflatten
 from conftest import random_small_graphs
 
 
@@ -42,7 +42,7 @@ class TestEnumeration:
     def test_matches_bruteforce(self):
         for g in random_small_graphs(10, 9, seed=17, density=1.8):
             for lv in [(1, 1), (2,), (1, 2), (2, 2)]:
-                got = {(S.centre, S.legs) for S in enumerate_spiders(g, lv)}
+                got = {unflatten(sp, lv) for sp in enumerate_spiders(g, lv)}
                 assert got == set(all_spiders(g, lv)), (g, lv)
 
     def test_canonical_order_and_validity(self):
@@ -50,9 +50,23 @@ class TestEnumeration:
         spiders = list(enumerate_spiders(g, (2, 1)))
         assert spiders == sorted(spiders)
         assert len(spiders) == len(set(spiders))
-        for S in spiders:
-            validate_spider(g, S)
-            assert len(set(S.leaf_vector)) == len(S.legs)
+        for sp in spiders:
+            validate_spider(g, sp, (2, 1))
+            assert len(set(unflatten(sp, (2, 1)).leaf_vector)) == 2
+
+    def test_validate_rejects_non_spiders(self):
+        g = random_gnm(10, 20, seed=2)
+        sp = next(enumerate_spiders(g, (2, 1)))
+        with pytest.raises(ValueError, match="length vector"):
+            validate_spider(g, sp, (2, 2))
+        with pytest.raises(ValueError, match="repeats"):
+            validate_spider(g, sp[:3] + sp[1:2], (2, 1))
+        # a leg whose next vertex is not a neighbour of its tip
+        tip = sp[2]
+        far = next(v for v in g.vertices()
+                   if v not in sp and not g.has_edge(tip, v))
+        with pytest.raises(ValueError, match="missing edge"):
+            validate_spider(g, sp[:3] + (far,) + sp[3:], (3, 1))
 
     @given(n=st.integers(3, 9), seed=st.integers(0, 10**6),
            s=st.integers(1, 3))
@@ -64,77 +78,127 @@ class TestEnumeration:
         assert total == sum(falling(g.degree(u), s) for u in g.vertices())
 
 
+def truncate(sp, lv, target):
+    """The prefix truncation of `sp` to `target`, one edge off each
+    longer leg per step, through the layouts' truncation getters."""
+    while lv != target:
+        gamma = tuple(int(x > t) for x, t in zip(lv, target))
+        sp = spider_layout(lv).truncations[gamma](sp)
+        lv = tuple(x - g for x, g in zip(lv, gamma))
+    return sp
+
+
 class TestSubspider:
-    def setup_method(self):
-        self.S = Spider(0, ((1, 2, 3), (4, 5)))
+    """Truncations (subspiders) of the flat spider (0; 1 2 3; 4 5)."""
+
+    S = (0, 1, 2, 3, 4, 5)
+    LV = (3, 2)
 
     def test_identity(self):
-        assert subspider(self.S, (3, 2)) == self.S
+        assert spider_layout(self.LV).truncations[(0, 0)](self.S) == self.S
+        assert truncate(self.S, self.LV, self.LV) == self.S
 
     def test_all_zero(self):
-        z = subspider(self.S, (0, 0))
-        assert z.legs == ((), ())
-        assert z.leaf_vector == (0, 0)
+        z = truncate(self.S, self.LV, (0, 0))
+        assert z == (0,)
+        assert spider_layout((0, 0)).leaf(z) == (0, 0)
 
     def test_prefix(self):
-        assert subspider(self.S, (1, 1)).legs == ((1,), (4,))
+        assert truncate(self.S, self.LV, (1, 1)) == (0, 1, 4)
+        assert spider_layout((1, 1)).leaf((0, 1, 4)) == (1, 4)
 
     def test_monotone_composition(self):
         for a in [(3, 2), (2, 2), (2, 1), (1, 1)]:
             for b in [(1, 1), (1, 0), (0, 0)]:
                 if all(x <= y for x, y in zip(b, a)):
-                    assert subspider(subspider(self.S, a), b) == subspider(self.S, b)
+                    assert truncate(truncate(self.S, self.LV, a), a, b) == \
+                        truncate(self.S, self.LV, b)
 
     def test_target_too_long(self):
-        with pytest.raises(ValueError):
-            subspider(self.S, (4, 2))
+        # only legs with an edge to spare have a truncation getter
+        assert set(spider_layout((0, 2)).truncations) == {(0, 0), (0, 1)}
+        assert (2, 0) not in spider_layout(self.LV).truncations
 
     def test_gamma_truncation(self):
-        t = gamma_truncation(self.S, (1, 0))
-        assert t.legs == ((1, 2), (4, 5))
+        trunc = spider_layout(self.LV).truncations[(1, 0)]
+        assert trunc(self.S) == (0, 1, 2, 4, 5)
+
+    @pytest.mark.parametrize("lv", [(2, 2), (3, 1), (1, 2, 2)])
+    def test_truncations_compose(self, lv):
+        # truncating by gamma and then by gamma' at lv - gamma is one
+        # prefix truncation by gamma + gamma', whatever the order
+        g = random_gnm(9, 18, seed=4)
+        spiders = list(enumerate_spiders(g, lv))
+        assert spiders
+        layout = spider_layout(lv)
+        for sp in spiders[:50]:
+            nested = unflatten(sp, lv)
+            for g1, t1 in layout.truncations.items():
+                mid = tuple(x - g for x, g in zip(lv, g1))
+                for g2, t2 in spider_layout(mid).truncations.items():
+                    both = t2(t1(sp))
+                    want = tuple(x - a - b for x, a, b in zip(lv, g1, g2))
+                    assert unflatten(both, want) == (nested.centre, tuple(
+                        leg[:w] for leg, w in zip(nested.legs, want)))
+                    assert both == truncate(sp, lv, want)
 
 
 class TestCountByLeaf:
+    """Leaf-vector counts through the layout's leaf getter."""
+
     def test_empty(self):
-        assert count_by_leaf(iter([])) == {}
+        leaf = spider_layout((2, 2)).leaf
+        assert Counter(map(leaf, enumerate_spiders(cycle_graph(3), (2, 2)))) \
+            == {}
 
     def test_k4_pairs(self):
-        counts = count_by_leaf(enumerate_spiders(complete_graph(4), (1, 1)))
+        leaf = spider_layout((1, 1)).leaf
+        counts = Counter(map(leaf, enumerate_spiders(complete_graph(4),
+                                                     (1, 1))))
         assert all(c == 2 for c in counts.values())
         assert len(counts) == 12
 
     def test_conservation(self):
         g = random_gnm(9, 16, seed=8)
         spiders = list(enumerate_spiders(g, (2, 1)))
-        counts = count_by_leaf(iter(spiders))
+        counts = Counter(map(spider_layout((2, 1)).leaf, spiders))
         assert sum(counts.values()) == len(spiders)
+        assert counts == Counter(unflatten(sp, (2, 1)).leaf_vector
+                                 for sp in spiders)
 
 
 class TestSpiderLayout:
     @pytest.mark.parametrize("lv", [(1,), (3,), (1, 1), (2, 1), (1, 3, 1)])
     def test_keys_match_spider_api(self, lv):
-        # the flat keys partition spiders exactly as leaf_vector and
-        # gamma_truncation do, including the one-leg layouts
+        # the leaf and truncation getters read what the nested
+        # (centre, legs) form of each spider says, including the one-leg
+        # layouts
         layout = spider_layout(lv)
         spiders = list(enumerate_spiders(random_gnm(9, 16, seed=8), lv))
         assert spiders
-        for S in spiders:
-            sp = layout.flatten(S)
+        for sp in spiders:
             assert len(sp) == 1 + sum(lv)
-            assert layout.to_spider(sp) == S
-            assert layout.leaf(sp) == S.leaf_vector
-        for gamma, trunc in layout.truncations.items():
-            by_key = {}
-            for S in spiders:
-                by_key.setdefault(trunc(layout.flatten(S)), set()).add(
-                    gamma_truncation(S, gamma))
-            assert all(len(v) == 1 for v in by_key.values())
-            assert len(by_key) == len(
-                {gamma_truncation(S, gamma) for S in spiders})
+            nested = unflatten(sp, lv)
+            assert layout.leaf(sp) == nested.leaf_vector
+            for gamma, trunc in layout.truncations.items():
+                legs = tuple(leg[:len(leg) - g]
+                             for leg, g in zip(nested.legs, gamma))
+                want = tuple(len(leg) for leg in legs)
+                assert unflatten(trunc(sp), want) == (nested.centre, legs)
 
     def test_built_once_per_vector(self):
         assert spider_layout((2, 2)) is spider_layout((2, 2))
 
-    def test_rejects_empty_legs(self):
+    def test_negative_entries_rejected_empty_leg_leaf_is_centre(self):
         with pytest.raises(ValueError):
-            spider_layout((2, 0))
+            spider_layout((2, -1))
+        assert spider_layout((0, 2)).leaf((7, 3, 4)) == (7, 4)
+        assert spider_layout((2, 0)).leaf((7, 3, 4)) == (4, 7)
+        assert spider_layout((1, 0, 1)).leaf((7, 3, 4)) == (3, 7, 4)
+        assert spider_layout((0,)).leaf((7,)) == (7,)
+        # proper spiders still need every leg
+        g = complete_bipartite(2, 3)
+        with pytest.raises(ValueError):
+            list(enumerate_spiders(g, (2, 0)))
+        with pytest.raises(ValueError):
+            refine_family([], (2, 0), Thresholds.constant(1), delta=1, L=1)
