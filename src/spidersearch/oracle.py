@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import json
 import random
+from bisect import bisect_right
+from collections import Counter
 from collections.abc import Collection, Sequence
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -366,27 +368,80 @@ def _requirement_order(tmpl: Template, incident: dict[int, int]) -> list[int]:
     return order
 
 
+def _twin_predecessors(tmpl: Template, entry: list[int]) -> dict[int, int]:
+    """Map each terminal to the twin that entered the search just before it.
+
+    Terminals p and q are twins when swapping them maps the requirement
+    multiset {({a, b}, length)} onto itself.  Twinship is an equivalence
+    (a product of two such swaps conjugates into a third), so a terminal
+    is compared with one member of each class only.
+    """
+    def shape(swap: dict[int, int]) -> Counter:
+        return Counter(
+            (frozenset((swap.get(a, a), swap.get(b, b))), ln)
+            for a, b, ln in tmpl.requirements
+        )
+
+    plain = shape({})
+    after: dict[int, int] = {}
+    latest: list[int] = []  # the last member to enter, per class so far
+    for q in entry:
+        for i, p in enumerate(latest):
+            if shape({p: q, q: p}) == plain:
+                after[q] = p
+                latest[i] = q
+                break
+        else:
+            latest.append(q)
+    return after
+
+
 def _template_search(
     G: Graph, tmpl: Template, budget: SearchBudget | None
 ) -> tuple[dict[int, int], dict[int, tuple[int, ...]]] | None:
+    """The first embedding of the template in G in search order, or None.
+
+    Requirements are routed in `_requirement_order`; a requirement with a
+    new end tries its images in ascending vertex order, then every exact
+    path in `_walk_paths` order.  Terminals enter in that order, `a`
+    before `b`, and within each twin class (see `_twin_predecessors`) a
+    terminal's image must exceed the image of the twin that entered just
+    before it.  Candidates ascend, so the mirror of an embedding that
+    breaks this order lies in an earlier, exhaustively searched sibling
+    branch: the first embedding found is the one the unordered search
+    finds, with at most as many budget ticks, and up to s!·t! times fewer
+    for K_{s,t}^k.
+
+    All paths of one search node avoid the same set, so distance tables
+    are shared per target within the node; a new `b` skips every image
+    out of range of `a`'s table, where `_walk_paths` would return before
+    its first tick.  Terminals that no requirement touches take the
+    smallest unused vertices at the end.
+    """
     adj = [G.neighbors(v) for v in G.vertices()]  # ascending
     incident: dict[int, int] = {}
     for a, b, _ in tmpl.requirements:
         incident[a] = incident.get(a, 0) + 1
         incident[b] = incident.get(b, 0) + 1
     order = _requirement_order(tmpl, incident)
+    entry = list(dict.fromkeys(
+        t for r in order for t in tmpl.requirements[r][:2]
+    ))
+    after = _twin_predecessors(tmpl, entry)
+    pool = {
+        t: [x for x in G.vertices() if len(adj[x]) >= incident[t]]
+        for t in entry
+    }
 
     img: dict[int, int] = {}
     used: set[int] = set()  # terminal images + path interiors
     paths: dict[int, tuple[int, ...]] = {}
 
     def candidates(term: int) -> list[int]:
-        if term in img:
-            return [img[term]]
-        need = incident.get(term, 0)
-        return [
-            x for x in G.vertices() if x not in used and len(adj[x]) >= need
-        ]
+        xs = pool[term]
+        if term in after:
+            xs = xs[bisect_right(xs, img[after[term]]):]
+        return [x for x in xs if x not in used]
 
     def place(pos: int) -> bool:
         if budget is not None:
@@ -395,21 +450,38 @@ def _template_search(
             return True
         ridx = order[pos]
         a, b, length = tmpl.requirements[ridx]
-        for xa in candidates(a):
+        forb = used - {img.get(a), img.get(b)}
+        tables: dict[int, list[int]] = {}
+
+        def table(v: int) -> list[int]:
+            dist = tables.get(v)
+            if dist is None:
+                dist = tables[v] = _distances_to(adj, v, length, forb)
+            return dist
+
+        for xa in [img[a]] if a in img else candidates(a):
             new_a = a not in img
             if new_a:
                 img[a] = xa
                 used.add(xa)
-            for xb in candidates(b):
-                if xb == xa:
+            if b in img:
+                xbs = [img[b]] if table(img[b])[xa] <= length else []
+            else:
+                near = table(xa)
+                xbs = [x for x in candidates(b) if near[x] <= length]
+            for xb in xbs:
+                if xb == xa:  # only a loop requirement (a == b) gets here
                     continue
                 new_b = b not in img
                 if new_b:
                     img[b] = xb
                     used.add(xb)
-                forb = used - {xa, xb}
-                for path in _iter_exact_paths(adj, xa, xb, length, forb, budget):
-                    interior = set(path[1:-1])
+                routes = (
+                    ((xa, xb),) if length == 1
+                    else _walk_paths(adj, xa, xb, length, table(xb), budget)
+                )
+                for path in routes:
+                    interior = path[1:-1]
                     used.update(interior)
                     paths[ridx] = path
                     if place(pos + 1):
@@ -424,7 +496,16 @@ def _template_search(
                 used.discard(xa)
         return False
 
-    return (img, paths) if place(0) else None
+    if not place(0):
+        return None
+    # every embedding covers the same number of vertices, so when too few
+    # are left here, none is left in any other embedding either
+    loose = [t for t in range(tmpl.num_terminals) if t not in incident]
+    free = [x for x in G.vertices() if x not in used]
+    if len(free) < len(loose):
+        return None
+    img.update(zip(loose, free))
+    return img, paths
 
 
 def contains(
@@ -432,6 +513,13 @@ def contains(
 ) -> ContainmentResult:
     """Backtracking containment: branch-vertex assignment plus internally
     disjoint path routing.  'absent' means the search space was exhausted.
+
+    Cycle-shaped patterns take `find_cycle`.  Other patterns answer
+    'absent' at once (0 nodes) when the pattern graph has more vertices
+    or edges than G, and otherwise take `_template_search`, whose twin
+    ordering returns the same witness as the unordered search in at most
+    as many nodes: a `--node-limit` that sufficed before still does, and
+    some that ran out before now finish.
     """
     if budget is not None:
         budget.start()
@@ -439,6 +527,9 @@ def contains(
     if M is not None:
         return _cycle_containment(G, desc, M, budget)
     tmpl = compile_template(desc)
+    size = sum(ln for _, _, ln in tmpl.requirements)
+    if size > G.m or tmpl.num_terminals + size - len(tmpl.requirements) > G.n:
+        return ContainmentResult("absent", nodes=0)
     try:
         sol = _template_search(G, tmpl, budget)
     except BudgetExhausted:

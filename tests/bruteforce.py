@@ -14,6 +14,12 @@ from itertools import combinations, permutations, product
 from typing import NamedTuple
 
 from spidersearch.graph import Graph
+from spidersearch.oracle import (
+    SearchBudget,
+    _iter_exact_paths,
+    _requirement_order,
+)
+from spidersearch.patterns import Template
 
 
 def brute_f(ell: int, L: float) -> int:
@@ -236,3 +242,74 @@ def brute_contains(G: Graph, H: Graph) -> bool:
             if all(G.has_edge(perm[u], perm[v]) for u, v in hedges):
                 return True
     return False
+
+
+def reference_template_search(
+    G: Graph, tmpl: Template, node_limit: int | None = None
+) -> tuple[dict[int, int] | None, dict[int, tuple[int, ...]] | None, int]:
+    """The template search without twin ordering or shared distance
+    tables: every relabelling of a symmetric pattern is searched again and
+    every candidate pair builds its own table.  Returns the image map and
+    the paths of the first embedding (both None when there is none) and
+    the budget ticks spent; raises `BudgetExhausted` past `node_limit`.
+    Terminals that no requirement touches get no image.
+    """
+    budget = SearchBudget(node_limit)
+    adj = [G.neighbors(v) for v in G.vertices()]  # ascending
+    incident: dict[int, int] = {}
+    for a, b, _ in tmpl.requirements:
+        incident[a] = incident.get(a, 0) + 1
+        incident[b] = incident.get(b, 0) + 1
+    order = _requirement_order(tmpl, incident)
+
+    img: dict[int, int] = {}
+    used: set[int] = set()  # terminal images + path interiors
+    paths: dict[int, tuple[int, ...]] = {}
+
+    def candidates(term: int) -> list[int]:
+        if term in img:
+            return [img[term]]
+        need = incident.get(term, 0)
+        return [
+            x for x in G.vertices() if x not in used and len(adj[x]) >= need
+        ]
+
+    def place(pos: int) -> bool:
+        if budget is not None:
+            budget.tick()
+        if pos == len(order):
+            return True
+        ridx = order[pos]
+        a, b, length = tmpl.requirements[ridx]
+        for xa in candidates(a):
+            new_a = a not in img
+            if new_a:
+                img[a] = xa
+                used.add(xa)
+            for xb in candidates(b):
+                if xb == xa:
+                    continue
+                new_b = b not in img
+                if new_b:
+                    img[b] = xb
+                    used.add(xb)
+                forb = used - {xa, xb}
+                for path in _iter_exact_paths(adj, xa, xb, length, forb, budget):
+                    interior = set(path[1:-1])
+                    used.update(interior)
+                    paths[ridx] = path
+                    if place(pos + 1):
+                        return True
+                    del paths[ridx]
+                    used.difference_update(interior)
+                if new_b:
+                    del img[b]
+                    used.discard(xb)
+            if new_a:
+                del img[a]
+                used.discard(xa)
+        return False
+
+    if place(0):
+        return img, paths, budget.nodes
+    return None, None, budget.nodes

@@ -220,6 +220,21 @@ class TestOracle:
                            "--pattern", "cycle:8")
         assert code == 1 and "status=absent" in out
 
+    def test_contains_isolated_pattern_vertex(self, capsys, tmp_path):
+        g = cycle_graph(8)
+        path = write_graph(tmp_path, g)
+        code, out, err = run(capsys, "oracle", "contains", "--graph", path,
+                             "--pattern", "arbitrary:3:0-1")
+        assert code == 0 and err == ""
+        w = Witness.from_json(out)
+        assert w.terminals == (0, 1, 2) and verify_embedding(g, w)
+
+    def test_contains_isolated_pattern_vertex_absent(self, capsys, tmp_path):
+        path = write_graph(tmp_path, Graph.from_edges(2, [(0, 1)]))
+        code, out, err = run(capsys, "oracle", "contains", "--graph", path,
+                             "--pattern", "arbitrary:3:0-1")
+        assert (code, out, err) == (1, "status=absent\n", "")
+
     def test_extremal(self, capsys):
         code, out, _ = run(capsys, "oracle", "extremal", "--n", "4",
                            "--pattern", "cycle:4")

@@ -15,9 +15,11 @@ from spidersearch.graph import (
     subdivide,
 )
 from spidersearch.oracle import (
+    BudgetExhausted,
     SearchBudget,
     Witness,
     _iter_exact_paths,
+    _template_search,
     adding_edge_creates,
     are_isomorphic,
     canonical_form,
@@ -30,9 +32,9 @@ from spidersearch.oracle import (
     is_pattern_free,
     verify_embedding,
 )
-from spidersearch.patterns import instantiate, parse_pattern
+from spidersearch.patterns import compile_template, instantiate, parse_pattern
 
-from bruteforce import brute_contains
+from bruteforce import brute_contains, reference_template_search
 from conftest import random_small_graphs
 
 PETERSEN = Graph.from_edges(10, [
@@ -113,6 +115,18 @@ class TestContains:
         assert res.status == "found"
         assert verify_embedding(g, res.witness)
 
+    @pytest.mark.parametrize("pattern", ["kst:2,3^2", "arbitrary:12:0-1"])
+    def test_pattern_larger_than_host_is_absent_at_once(self, pattern):
+        res = contains(cycle_graph(10), parse_pattern(pattern), SearchBudget(1))
+        assert (res.status, res.nodes) == ("absent", 0)
+
+    def test_isolated_pattern_vertices_take_smallest_free_vertices(self):
+        desc = parse_pattern("arbitrary:5:1-3")
+        g = path_graph(5)
+        res = contains(g, desc)
+        assert res.status == "found" and verify_embedding(g, res.witness)
+        assert res.witness.terminals == (2, 0, 3, 1, 4)
+
     def test_budget_is_distinct_outcome(self):
         g = random_gnm(16, 20, seed=7)
         assert contains(g, parse_pattern("kst:2,2^2")).status == "absent"
@@ -142,12 +156,17 @@ class TestContains:
         (random_gnm(18, 26, seed=4), "cycle:17", "absent", 1803),
         (random_gnm(18, 30, seed=4), "cycle:12", "found", 13),
         (subdivide(complete_bipartite(2, 3), 2), "kst:2,3^2", "found", 25),
-        (random_gnm(12, 20, seed=5), "kst:2,3^2", "found", 1667),
-        (random_gnm(12, 16, seed=2), "spider:2,2*3", "absent", 1784),
+        (random_gnm(12, 20, seed=5), "kst:2,3^2", "found", 925),
+        (random_gnm(12, 16, seed=2), "spider:2,2*3", "absent", 630),
+        # C8-free, and kst:2,3^2 contains a C8
+        (hill_climb_free(12, parse_pattern("cycle:8"), 100, seed=0),
+         "kst:2,3^2", "absent", 2010),
     ])
     def test_frozen_node_counts(self, host, pattern, status, nodes):
-        # budget ticks are part of the contract: --node-limit answers and
-        # reported node counts must not move when the search is refactored
+        # budget ticks are part of the contract: the counts pin the search
+        # order, twin-ordered on the template route, so --node-limit answers
+        # and reported node counts move only when that order does; a pruned
+        # search never needs more ticks than the unpruned one
         res = contains(host, parse_pattern(pattern), SearchBudget(10**7))
         assert (res.status, res.nodes) == (status, nodes)
 
@@ -162,6 +181,62 @@ class TestContains:
         adj = [g.neighbors(v) for v in g.vertices()]
         paths = list(_iter_exact_paths(adj, 0, 1499, 1499, set()))
         assert paths == [tuple(range(1500))]
+
+
+class TestTemplateSearchReference:
+    """The twin-ordered search against the unpruned one it replaced
+    (`bruteforce.reference_template_search`).  spider:1,2*2 is a 6-cycle,
+    so `contains` routes it to `find_cycle`; the template search is called
+    directly to cover a pattern whose roots are not twins.
+    """
+
+    PATTERNS = (
+        "kst:2,3^2", "kst:3,2^2", "kst:2,3", "kst:3,3", "spider:2,2*3",
+        "spider:1,2*2",
+        "arbitrary:5:0-1;0-2;1-3;2-3;3-4",  # terminals 1 and 2 are twins
+        "arbitrary:6:0-1;1-2;2-3;3-4;1-5;2-5",  # no two terminals are twins
+    )
+
+    @staticmethod
+    def reference(g, tmpl, node_limit=None):
+        try:
+            img, paths, ticks = reference_template_search(g, tmpl, node_limit)
+        except BudgetExhausted:
+            return "budget", None, None
+        if img is None:
+            return "absent", None, ticks
+        return "found", (img, paths), ticks
+
+    @staticmethod
+    def pruned(g, tmpl, node_limit=None):
+        budget = SearchBudget(node_limit)
+        try:
+            sol = _template_search(g, tmpl, budget)
+        except BudgetExhausted:
+            return "budget", None, None
+        return ("absent" if sol is None else "found"), sol, budget.nodes
+
+    def test_same_witness_in_no_more_nodes(self):
+        rng = random.Random(8)
+        statuses, unlocked = set(), 0
+        for _ in range(100):
+            n = rng.randint(6, 13)
+            g = random_gnm(n, rng.randint(n, 2 * n), rng.randrange(2**30))
+            for text in self.PATTERNS:
+                tmpl = compile_template(parse_pattern(text))
+                want, got = self.reference(g, tmpl), self.pruned(g, tmpl)
+                assert got[:2] == want[:2], (g, text)
+                assert got[2] <= want[2], (g, text)
+                statuses.add(want[0])
+                # a node limit the unpruned search met still suffices
+                want = self.reference(g, tmpl, 200)
+                got = self.pruned(g, tmpl, 200)
+                if want[0] != "budget":
+                    assert got[:2] == want[:2], (g, text)
+                elif got[0] != "budget":
+                    unlocked += 1
+        assert statuses == {"found", "absent"}
+        assert unlocked > 0
 
 
 class TestFindCycle:
@@ -310,6 +385,12 @@ class TestHillClimb:
         g = hill_climb_free(8, parse_pattern("cycle:8"), 400, seed=1)
         assert 21 <= g.m < 28
         assert is_pattern_free(g, parse_pattern("cycle:8"))
+
+    def test_pattern_larger_than_host_gives_complete_graph(self):
+        # kst:2,3^2 has 11 vertices, so no containment check on 10 vertices
+        # searches: each answers 'absent' from the sizes alone
+        g = hill_climb_free(10, parse_pattern("kst:2,3^2"), 50, seed=0)
+        assert g == complete_graph(10)
 
     def test_deterministic(self):
         a = hill_climb_free(10, parse_pattern("cycle:6"), 200, seed=4)
