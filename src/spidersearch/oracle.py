@@ -208,20 +208,6 @@ def _walk_paths(
             on_path.discard(path.pop())
 
 
-def _exact_path(
-    adj: Sequence[Collection[int]],
-    u: int,
-    v: int,
-    length: int,
-    forbidden: Collection[int],
-    budget: SearchBudget | None = None,
-) -> tuple[int, ...] | None:
-    """The first simple u-v path with exactly `length` edges whose vertices
-    avoid `forbidden`, or None.
-    """
-    return next(_iter_exact_paths(adj, u, v, length, forbidden, budget), None)
-
-
 def _iter_exact_paths(
     adj: Sequence[Collection[int]],
     u: int,
@@ -260,28 +246,66 @@ def find_cycle(
     for u, v in G.sorted_edges():
         adj[u].discard(v)
         adj[v].discard(u)
-        p = _exact_path(adj, u, v, length - 1, _NO_VERTICES, budget)
+        paths = _iter_exact_paths(adj, u, v, length - 1, _NO_VERTICES, budget)
+        p = next(paths, None)
         if p is not None:
             return p
     return None
 
 
+class _EdgeCheck:
+    """Does adding the non-edge (u, v) to a pattern-free graph create the
+    pattern?  One instance follows one graph as `add` grows it.
+
+    A cycle of length M appears iff an (M-1)-edge path joins u and v.  The
+    BFS distance tables of that search, one per target vertex, are shared
+    between queries and dropped when an added edge changes them.  Other
+    patterns run `contains` on the graph plus (u, v).
+    """
+
+    def __init__(self, desc: PatternDescriptor) -> None:
+        self.desc = desc
+        self.M = as_cycle_length(desc)
+
+    def start(self, G: Graph) -> "_EdgeCheck":
+        """Follow G from here on, forgetting any earlier graph."""
+        self.n = G.n
+        self.edges = set(G.edges)
+        self.adj = _adj_sets(G)
+        self.tables: dict[int, list[int]] = {}
+        return self
+
+    def creates(self, u: int, v: int) -> bool:
+        if self.M is None:
+            e = (min(u, v), max(u, v))
+            G2 = Graph(self.n, frozenset(self.edges | {e}))
+            return contains(G2, self.desc).status == "found"
+        tables, length = self.tables, self.M - 1
+        # search towards an endpoint that already has a table
+        a, b = (v, u) if u in tables and v not in tables else (u, v)
+        if b not in tables:
+            tables[b] = _distances_to(self.adj, b, length, _NO_VERTICES)
+        path = next(_walk_paths(self.adj, a, b, length, tables[b]), None)
+        return path is not None
+
+    def add(self, u: int, v: int) -> None:
+        self.edges.add((min(u, v), max(u, v)))
+        self.adj[u].add(v)
+        self.adj[v].add(u)
+        # the edge shortens no distance in a table where its ends lie at
+        # most one level apart (M standing for "out of range")
+        self.tables = {
+            t: d for t, d in self.tables.items() if abs(d[u] - d[v]) <= 1
+        }
+
+
 def adding_edge_creates(
-    G: Graph, u: int, v: int, desc: PatternDescriptor,
-    budget: SearchBudget | None = None,
+    G: Graph, u: int, v: int, desc: PatternDescriptor
 ) -> bool:
     """Would adding the non-edge (u,v) to a pattern-free G create the
-    pattern?  Incremental for cycle-shaped patterns.
+    pattern?  Answered by `_EdgeCheck`, as in hill climbing.
     """
-    M = as_cycle_length(desc)
-    if M is not None:
-        path = _exact_path(_adj_sets(G), u, v, M - 1, _NO_VERTICES, budget)
-        return path is not None
-    G2 = Graph(G.n, G.edges | {(min(u, v), max(u, v))})
-    res = contains(G2, desc, budget)
-    if res.status == "budget":
-        raise BudgetExhausted("incremental containment check ran out of budget")
-    return res.status == "found"
+    return _EdgeCheck(desc).start(G).creates(u, v)
 
 
 def first_addable_edge(
@@ -289,25 +313,14 @@ def first_addable_edge(
 ) -> tuple[int, int] | None:
     """The first non-edge (u, v), u < v in lexicographic order, whose
     addition keeps the pattern-free G pattern-free; None when G is
-    edge-maximal.  Agrees with `adding_edge_creates` pair by pair.  For
-    cycle-shaped patterns the adjacency is built once and one distance
-    table serves every pair with the same smaller endpoint.
+    edge-maximal.  One `_EdgeCheck`, the check behind hill climbing and
+    `adding_edge_creates`, answers every pair, so for cycle-shaped patterns
+    one distance table per target vertex serves all pairs.
     """
-    M = as_cycle_length(desc)
-    if M is None:
-        for u, v in combinations(G.vertices(), 2):
-            if not G.has_edge(u, v) and not adding_edge_creates(G, u, v, desc):
-                return (u, v)
-        return None
-    adj = _adj_sets(G)
-    for u in G.vertices():
-        dist = _distances_to(adj, u, M - 1, _NO_VERTICES)
-        for v in range(u + 1, G.n):
-            if v in adj[u]:
-                continue
-            path = next(_walk_paths(adj, v, u, M - 1, dist), None)
-            if path is None:
-                return (u, v)
+    check = _EdgeCheck(desc).start(G)
+    for u, v in combinations(G.vertices(), 2):
+        if not G.has_edge(u, v) and not check.creates(u, v):
+            return (u, v)
     return None
 
 
@@ -695,51 +708,29 @@ def hill_climb_free(
     saturates and the test budget remains.  Every returned graph is
     edge-maximal: a run only ends once no candidate edge is addable.
 
-    For cycle-shaped patterns a candidate is blocked iff an (M-1)-edge path
-    joins its endpoints.  Distance tables, one per target vertex, are shared
-    between candidate tests and dropped when an accepted edge changes them.
+    One `_EdgeCheck`, the check behind `first_addable_edge` and
+    `adding_edge_creates`, tests every candidate; for cycle-shaped patterns
+    its distance tables are shared between candidate tests.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
     rng = random.Random(seed)
-    M = as_cycle_length(desc)
+    check = _EdgeCheck(desc)
     best: Graph | None = None
     tests = 0
     while best is None or tests < iterations:
-        edges: set[tuple[int, int]] = set()
-        adj: list[set[int]] = [set() for _ in range(n)]
-        tables: dict[int, list[int]] = {}
+        check.start(Graph(n, frozenset()))
         candidates = list(combinations(range(n), 2))
         while candidates:
             i = rng.randrange(len(candidates))
             candidates[i], candidates[-1] = candidates[-1], candidates[i]
             u, v = candidates.pop()
             tests += 1
-            if M is not None:
-                # search towards an endpoint that already has a table
-                a, b = (v, u) if u in tables and v not in tables else (u, v)
-                dist = tables.get(b)
-                if dist is None:
-                    dist = tables[b] = _distances_to(adj, b, M - 1, _NO_VERTICES)
-                path = next(_walk_paths(adj, a, b, M - 1, dist), None)
-                blocked = path is not None
-            else:
-                blocked = adding_edge_creates(
-                    Graph(n, frozenset(edges)), u, v, desc
-                )
-            if not blocked:
-                edges.add((u, v))
-                adj[u].add(v)
-                adj[v].add(u)
-                # the edge shortens no distance in a table where its ends
-                # lie at most one level apart (M standing for "out of range")
-                tables = {
-                    t: d for t, d in tables.items()
-                    if abs(d[u] - d[v]) <= 1
-                }
-        g = Graph(n, frozenset(edges))
+            if not check.creates(u, v):
+                check.add(u, v)
+        g = Graph(n, frozenset(check.edges))
         if best is None or g.m > best.m:
             best = g
     return best

@@ -106,8 +106,15 @@ def parse_pattern(text: str) -> PatternDescriptor:
         n = int(nstr)
         edges = []
         for pair in pairs.split(";"):
-            u, _, v = pair.partition("-")
-            edges.append((int(u), int(v)))
+            a, _, b = pair.partition("-")
+            u, v = int(a), int(b)
+            if u == v:
+                raise ValueError(f"pattern edge {pair} is a loop")
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(
+                    f"pattern edge {pair} leaves the vertex range 0..{n - 1}"
+                )
+            edges.append((u, v))
         if blow is not None:
             raise ValueError("blowup modifier applies to spider patterns only")
         return PatternDescriptor(

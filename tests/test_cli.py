@@ -13,6 +13,7 @@ from spidersearch.cli import main
 from spidersearch.graph import (
     Graph,
     complete_bipartite,
+    complete_graph,
     cycle_graph,
     random_gnm,
     subdivide,
@@ -234,6 +235,20 @@ class TestOracle:
         code, out, err = run(capsys, "oracle", "contains", "--graph", path,
                              "--pattern", "arbitrary:3:0-1")
         assert (code, out, err) == (1, "status=absent\n", "")
+
+    @pytest.mark.parametrize("pattern,message", [
+        # subdivided, the loop used to read as a triangle that the search
+        # never routed, so K4 came out 'absent'
+        ("arbitrary:2:1-1^3", "pattern edge 1-1 is a loop"),
+        ("arbitrary:2:1-1", "pattern edge 1-1 is a loop"),
+        ("arbitrary:2:0-5^2", "pattern edge 0-5 leaves the vertex range 0..1"),
+    ])
+    def test_malformed_arbitrary_pattern_exit_2(self, capsys, tmp_path,
+                                                pattern, message):
+        path = write_graph(tmp_path, complete_graph(4))
+        code, out, err = run(capsys, "oracle", "contains", "--graph", path,
+                             "--pattern", pattern)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_extremal(self, capsys):
         code, out, _ = run(capsys, "oracle", "extremal", "--n", "4",

@@ -18,6 +18,7 @@ from spidersearch.oracle import (
     BudgetExhausted,
     SearchBudget,
     Witness,
+    _EdgeCheck,
     _iter_exact_paths,
     _template_search,
     adding_edge_creates,
@@ -32,9 +33,14 @@ from spidersearch.oracle import (
     is_pattern_free,
     verify_embedding,
 )
-from spidersearch.patterns import compile_template, instantiate, parse_pattern
+from spidersearch.patterns import (
+    as_cycle_length,
+    compile_template,
+    instantiate,
+    parse_pattern,
+)
 
-from bruteforce import brute_contains, reference_template_search
+from bruteforce import all_paths, brute_contains, reference_template_search
 from conftest import random_small_graphs
 
 PETERSEN = Graph.from_edges(10, [
@@ -403,7 +409,7 @@ class TestHillClimb:
         for u in range(9):
             for v in range(u + 1, 9):
                 if not g.has_edge(u, v):
-                    assert adding_edge_creates(g, u, v, desc)
+                    assert creates_by_containment(g, u, v, desc)
 
     # (pattern, n, seed, iterations, edges, SHA-256 of Graph.dump()): the
     # graphs the per-call exact-path search produced before distance
@@ -428,11 +434,59 @@ class TestHillClimb:
         assert hashlib.sha256(g.dump().encode()).hexdigest() == digest
 
 
+def creates_by_containment(g, u, v, desc):
+    """Whether g + (u, v) contains the pattern, by a fresh `contains`: no
+    distance table or other state is shared with `first_addable_edge`."""
+    return contains(Graph(g.n, g.edges | {(u, v)}), desc).status == "found"
+
+
 def first_addable_per_pair(g, desc):
+    """The reference for `first_addable_edge`, judged pair by pair.  On a
+    host that already contains a cycle-shaped pattern `contains` blocks
+    every pair, so there (u, v) is blocked, by the definition, iff some
+    (M-1)-edge path of g (`bruteforce.all_paths`) joins u and v.
+    """
+    M = as_cycle_length(desc)
+    if M is not None and contains(g, desc).status == "found":
+        ends = {frozenset((p[0], p[-1])) for p in all_paths(g, M - 1)}
+
+        def blocked(u, v):
+            return frozenset((u, v)) in ends
+    else:
+        def blocked(u, v):
+            return creates_by_containment(g, u, v, desc)
+
     for u, v in combinations(g.vertices(), 2):
-        if not g.has_edge(u, v) and not adding_edge_creates(g, u, v, desc):
+        if not g.has_edge(u, v) and not blocked(u, v):
             return (u, v)
     return None
+
+
+class TestEdgeCheck:
+    @pytest.mark.parametrize(
+        "pattern", ["cycle:4", "cycle:6", "kst:2,2^2", "kst:2,3"]
+    )
+    def test_answers_track_added_edges(self, pattern):
+        # one check follows each graph as it grows, as in hill climbing, so
+        # a distance table that an added edge shortened must be dropped;
+        # the references build everything afresh for every pair
+        desc = parse_pattern(pattern)
+        for seed in range(6):
+            rng = random.Random(seed)
+            n = rng.randint(8, 14)
+            g = Graph(n, frozenset())
+            check = _EdgeCheck(desc).start(g)
+            pairs = list(combinations(range(n), 2))
+            rng.shuffle(pairs)
+            for e in pairs:
+                want = creates_by_containment(g, *e, desc)
+                u, v = e if rng.random() < 0.5 else e[::-1]
+                assert check.creates(u, v) == want, (pattern, seed, g, e)
+                assert adding_edge_creates(g, u, v, desc) == want
+                if not want:
+                    check.add(u, v)
+                    g = Graph(n, g.edges | {e})
+            assert check.edges == g.edges
 
 
 class TestFirstAddableEdge:
