@@ -15,10 +15,10 @@ Spider levels hold flat spiders, read through the layout of their vector
 from __future__ import annotations
 
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import product
+from itertools import islice, product, takewhile
 from operator import itemgetter
 from typing import Callable, Iterator
 
@@ -26,6 +26,16 @@ from .graph import Graph
 from .spiders import FlatSpider, enumerate_spiders, spider_layout
 
 Path = tuple[int, ...]  # vertex sequence, canonical: first < last
+
+
+def _recursion(L: float) -> Iterator[int]:
+    """f(1), f(2), ... of the threshold recursion, without end."""
+    vals = [math.ceil(L)]
+    while True:
+        yield vals[-1]
+        m = len(vals) + 1
+        peak = max(vals[i - 1] * vals[m - i - 1] for i in range(1, m))
+        vals.append(1 + vals[m - 2] ** 16 * (m - 1) ** 2 * peak)
 
 
 def f_value(ell: int, L: float) -> int:
@@ -39,11 +49,7 @@ def f_value(ell: int, L: float) -> int:
         raise ValueError("ell must be >= 1")
     if L < 1:
         raise ValueError("L must be >= 1")
-    vals = [math.ceil(L)]
-    for m in range(2, ell + 1):
-        peak = max(vals[i - 1] * vals[m - i - 1] for i in range(1, m))
-        vals.append(1 + vals[m - 2] ** 16 * (m - 1) ** 2 * peak)
-    return vals[ell - 1]
+    return next(islice(_recursion(L), ell - 1, None))
 
 
 @dataclass(frozen=True)
@@ -60,10 +66,22 @@ class Thresholds:
 
     @classmethod
     def paper_recursion(cls, L: float) -> "Thresholds":
+        """`f_value`, saturated: math.inf from the first value above
+        sys.maxsize on.  f is only compared with sizes of in-memory
+        collections, which never exceed sys.maxsize, so no comparison
+        changes, and no level builds a bignum (f(8) at L = 2 has about
+        4e8 bits).
+        """
         if L < 1:
             raise ValueError("L must be >= 1")
-        return cls(lru_cache(maxsize=None)(lambda ell: f_value(ell, L)),
-                   "paper")
+        vals = list(takewhile(lambda v: v <= sys.maxsize, _recursion(L)))
+
+        def f(ell: int) -> float:
+            if ell < 1:
+                raise ValueError("ell must be >= 1")
+            return vals[ell - 1] if ell <= len(vals) else math.inf
+
+        return cls(f, "paper")
 
     @classmethod
     def constant(cls, value: float) -> "Thresholds":

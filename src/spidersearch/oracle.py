@@ -255,7 +255,9 @@ def find_cycle(
 
 class _EdgeCheck:
     """Does adding the non-edge (u, v) to a pattern-free graph create the
-    pattern?  One instance follows one graph as `add` grows it.
+    pattern?  One instance follows one graph as `add` grows it.  The answer
+    is meant for pattern-free graphs: on a graph that already contains the
+    pattern, the cycle route below asks for a new cycle through (u, v).
 
     A cycle of length M appears iff an (M-1)-edge path joins u and v.  The
     BFS distance tables of that search, one per target vertex, are shared
@@ -302,25 +304,28 @@ class _EdgeCheck:
 def adding_edge_creates(
     G: Graph, u: int, v: int, desc: PatternDescriptor
 ) -> bool:
-    """Would adding the non-edge (u,v) to a pattern-free G create the
-    pattern?  Answered by `_EdgeCheck`, as in hill climbing.
+    """Does G + (u, v) contain the pattern?  A fresh `contains` on every
+    host, pattern-free or not.
     """
-    return _EdgeCheck(desc).start(G).creates(u, v)
+    e = (min(u, v), max(u, v))
+    return contains(Graph(G.n, G.edges | {e}), desc).status == "found"
 
 
 def first_addable_edge(
     G: Graph, desc: PatternDescriptor
 ) -> tuple[int, int] | None:
-    """The first non-edge (u, v), u < v in lexicographic order, whose
-    addition keeps the pattern-free G pattern-free; None when G is
-    edge-maximal.  One `_EdgeCheck`, the check behind hill climbing and
-    `adding_edge_creates`, answers every pair, so for cycle-shaped patterns
-    one distance table per target vertex serves all pairs.
+    """The first non-edge (u, v), u < v in lexicographic order, such that
+    G + (u, v) is pattern-free; None when there is none, that is when G is
+    edge-maximal or already contains the pattern.  One `_EdgeCheck`, the
+    check behind hill climbing, scans the pairs, so for cycle-shaped
+    patterns one distance table per target vertex serves all pairs.  The
+    scan assumes a pattern-free G, so the one pair it would return is
+    confirmed by `adding_edge_creates`.
     """
     check = _EdgeCheck(desc).start(G)
     for u, v in combinations(G.vertices(), 2):
         if not G.has_edge(u, v) and not check.creates(u, v):
-            return (u, v)
+            return None if adding_edge_creates(G, u, v, desc) else (u, v)
     return None
 
 
@@ -655,7 +660,7 @@ class ExtremalResult:
     exhaustive: bool
 
 
-EXHAUSTIVE_N_LIMIT = 9
+EXHAUSTIVE_N_LIMIT = 7
 
 
 def extremal_number(
@@ -663,36 +668,38 @@ def extremal_number(
 ) -> ExtremalResult:
     """Maximum edge count of a pattern-free graph on n vertices.
 
-    Exhaustive for n <= EXHAUSTIVE_N_LIMIT: enumerate graphs by edge count
-    descending with canonical-form isomorph rejection; the first
-    pattern-free graph found settles the value.  Larger n, or budget
-    exhaustion, falls back to the hill-climbing heuristic (exhaustive flag
-    False).
+    Exhaustive for n <= EXHAUSTIVE_N_LIMIT: a depth-first search adds the
+    pairs in lexicographic order, include first, one budget tick per
+    node.  `_EdgeCheck` admits a pair only while the graph stays
+    pattern-free, and a branch that cannot beat the best set is cut; the
+    witness is the lexicographically first largest pattern-free edge set.
+    Larger n, or budget exhaustion, falls back to the hill-climbing
+    heuristic (exhaustive flag False).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n > EXHAUSTIVE_N_LIMIT:
-        g = hill_climb_free(n, desc, iterations=20 * n * n, seed=0)
-        return ExtremalResult(n, desc, g.m, g, exhaustive=False)
-    pairs = list(combinations(range(n), 2))
-    if budget is not None:
-        budget.start()
-    try:
-        for m in range(len(pairs), -1, -1):
-            seen: set[tuple[int, frozenset[tuple[int, int]]]] = set()
-            for combo in combinations(pairs, m):
-                if budget is not None:
-                    budget.tick()
-                g = Graph(n, frozenset(combo))
-                key = canonical_form(g)
-                if key in seen:
-                    continue
-                seen.add(key)
-                res = contains(g, desc)
-                if res.status == "absent":
-                    return ExtremalResult(n, desc, m, g, exhaustive=True)
-    except BudgetExhausted:
-        pass
+    if n <= EXHAUSTIVE_N_LIMIT:
+        pairs = list(combinations(range(n), 2))
+        check = _EdgeCheck(desc)
+        budget = (budget or SearchBudget()).start()
+        best: list[tuple[int, int]] = []
+
+        def search(i: int, chosen: frozenset[tuple[int, int]]) -> None:
+            budget.tick()
+            if len(chosen) > len(best):
+                best[:] = chosen
+            if len(chosen) + len(pairs) - i <= len(best):
+                return
+            if not check.start(Graph(n, chosen)).creates(*pairs[i]):
+                search(i + 1, chosen | {pairs[i]})
+            search(i + 1, chosen)
+
+        try:
+            search(0, frozenset())
+            g = Graph(n, frozenset(best))
+            return ExtremalResult(n, desc, g.m, g, exhaustive=True)
+        except BudgetExhausted:
+            pass
     g = hill_climb_free(n, desc, iterations=20 * n * n, seed=0)
     return ExtremalResult(n, desc, g.m, g, exhaustive=False)
 
@@ -709,7 +716,7 @@ def hill_climb_free(
     edge-maximal: a run only ends once no candidate edge is addable.
 
     One `_EdgeCheck`, the check behind `first_addable_edge` and
-    `adding_edge_creates`, tests every candidate; for cycle-shaped patterns
+    `extremal_number`, tests every candidate; for cycle-shaped patterns
     its distance tables are shared between candidate tests.
     """
     if n < 1:

@@ -15,11 +15,14 @@ from typing import NamedTuple
 
 from spidersearch.graph import Graph
 from spidersearch.oracle import (
+    ExtremalResult,
     SearchBudget,
     _iter_exact_paths,
     _requirement_order,
+    canonical_form,
+    contains,
 )
-from spidersearch.patterns import Template
+from spidersearch.patterns import PatternDescriptor, Template
 
 
 def brute_f(ell: int, L: float) -> int:
@@ -313,3 +316,24 @@ def reference_template_search(
     if place(0):
         return img, paths, budget.nodes
     return None, None, budget.nodes
+
+
+def reference_extremal(n: int, desc: PatternDescriptor) -> ExtremalResult:
+    """The subset enumeration that `extremal_number`'s branch-and-bound
+    replaced: edge counts m descending, the m-edge subsets of the pairs in
+    lexicographic order, one `contains` per isomorphism class (keyed by
+    `canonical_form`).  The first pattern-free subset settles the value;
+    the edgeless graph is pattern-free, as every pattern has an edge.
+    """
+    pairs = list(combinations(range(n), 2))
+    for m in range(len(pairs), -1, -1):
+        seen: set = set()
+        for combo in combinations(pairs, m):
+            g = Graph(n, frozenset(combo))
+            key = canonical_form(g)
+            if key in seen:
+                continue
+            seen.add(key)
+            if contains(g, desc).status == "absent":
+                return ExtremalResult(n, desc, m, g, exhaustive=True)
+    raise ValueError("the pattern has no edge")

@@ -154,6 +154,15 @@ class TestFind:
         w = Witness.from_json(out)
         assert w.route == "constructive" and verify_embedding(host, w)
 
+    def test_paper_threshold_saturates(self, capsys, tmp_path):
+        # f(8) at L = 2 has about 4e8 bits; the saturated recursion answers
+        # math.inf instead of materialising it, so this finishes at once
+        path = write_graph(tmp_path, cycle_graph(16))
+        code, out, _ = run(capsys, "find", "--graph", path,
+                           "--pattern", "kst:2,2^4")
+        assert code == 0
+        assert verify_embedding(cycle_graph(16), Witness.from_json(out))
+
     def test_not_found_exit_1(self, capsys, tmp_path):
         path = write_graph(tmp_path, cycle_graph(7))
         code, _, err = run(capsys, "find", "--graph", path,
@@ -264,6 +273,18 @@ class TestOracle:
         witness = Graph.from_edges(10, doc["witness_edges"])
         assert doc["value"] == witness.m
         assert is_pattern_free(witness, parse_pattern("cycle:4"))
+
+    @pytest.mark.parametrize("n", ["8", "9"])
+    def test_extremal_past_exhaustive_limit_falls_back(self, capsys, n):
+        # the limit is 7, where the exhaustive search is last known to
+        # finish; n = 8 and 9 answer from hill climbing instead of hanging
+        code, out, err = run(capsys, "oracle", "extremal", "--n", n,
+                             "--pattern", "kst:2,3")
+        doc = json.loads(out)
+        assert code == 0 and err == "" and doc["exhaustive"] is False
+        witness = Graph.from_edges(int(n), doc["witness_edges"])
+        assert doc["value"] == witness.m
+        assert is_pattern_free(witness, parse_pattern("kst:2,3"))
 
     def test_hillclimb(self, capsys):
         code, out, _ = run(capsys, "oracle", "hillclimb", "--n", "7",

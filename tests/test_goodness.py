@@ -1,3 +1,6 @@
+import math
+import sys
+
 import pytest
 
 from spidersearch.goodness import (
@@ -62,6 +65,15 @@ class TestThresholds:
         assert Thresholds.paper_recursion(2).f(2) == 262145
         assert Thresholds.constant(7).f(99) == 7
         assert Thresholds.custom({1: 4, 2: 9}).f(2) == 9
+
+    @pytest.mark.parametrize("L", [1, 2, 3.5])
+    def test_paper_saturates_past_maxsize(self, L):
+        # exact up to the first value above sys.maxsize, math.inf from there
+        f = Thresholds.paper_recursion(L).f
+        exact = [f_value(ell, L) for ell in range(1, 5)]
+        first_big = next(i for i, v in enumerate(exact) if v > sys.maxsize)
+        want = exact[:first_big] + [math.inf] * (8 - first_big)
+        assert [f(ell) for ell in range(1, 9)] == want
 
     def test_custom_missing_level(self):
         with pytest.raises(ValueError):

@@ -1,7 +1,7 @@
 import hashlib
 import json
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -15,6 +15,7 @@ from spidersearch.graph import (
     subdivide,
 )
 from spidersearch.oracle import (
+    EXHAUSTIVE_N_LIMIT,
     BudgetExhausted,
     SearchBudget,
     Witness,
@@ -34,13 +35,16 @@ from spidersearch.oracle import (
     verify_embedding,
 )
 from spidersearch.patterns import (
-    as_cycle_length,
     compile_template,
     instantiate,
     parse_pattern,
 )
 
-from bruteforce import all_paths, brute_contains, reference_template_search
+from bruteforce import (
+    brute_contains,
+    reference_extremal,
+    reference_template_search,
+)
 from conftest import random_small_graphs
 
 PETERSEN = Graph.from_edges(10, [
@@ -381,6 +385,60 @@ class TestExtremal:
         assert not res.exhaustive
         assert is_pattern_free(res.witness_graph, parse_pattern("cycle:8"))
 
+    PATTERNS = (
+        "cycle:3", "cycle:4", "cycle:5", "cycle:6", "kst:2,2", "kst:2,3",
+        "spider:1,2,2",
+        "arbitrary:4:0-1;1-2;0-2;2-3",  # a triangle with a pendant edge
+    )
+
+    @pytest.mark.parametrize("n,pattern", [
+        *product(range(1, 6), PATTERNS),
+        (6, "cycle:5"), (6, "kst:2,3"),
+    ])
+    def test_matches_subset_enumeration(self, n, pattern):
+        # value, witness and flag of the isomorph-rejecting subset search:
+        # both return the lexicographically first largest pattern-free set
+        desc = parse_pattern(pattern)
+        assert extremal_number(n, desc) == reference_extremal(n, desc)
+
+    def test_c4_values_and_polarity_graph(self):
+        # OEIS A006855 for n = 1..7, the whole exhaustive range
+        c4 = parse_pattern("cycle:4")
+        results = [extremal_number(n, c4) for n in range(1, 8)]
+        assert EXHAUSTIVE_N_LIMIT == 7
+        assert all(r.exhaustive for r in results)
+        assert [r.value for r in results] == [0, 1, 3, 4, 6, 7, 9]
+        # ER_2 is a C4-free graph on 7 vertices with ex(7, C4) edges
+        assert polarity_graph(2).m == results[-1].value
+
+    @pytest.mark.parametrize("q,edges", [(2, 9), (3, 24), (5, 90), (7, 224)])
+    def test_polarity_graph_is_c4_free(self, q, edges):
+        g = polarity_graph(q)
+        assert (g.n, g.m) == (q * q + q + 1, edges)
+        assert contains(g, parse_pattern("cycle:4")).status == "absent"
+
+    def test_small_node_limit_falls_back(self):
+        desc = parse_pattern("cycle:4")
+        res = extremal_number(6, desc, SearchBudget(10))
+        assert not res.exhaustive
+        assert res.value == res.witness_graph.m
+        assert is_pattern_free(res.witness_graph, desc)
+
+
+def polarity_graph(q):
+    """The Erdős–Rényi polarity graph ER_q (Brown, 1966) for a prime q:
+    the points of PG(2, q), each joined to the other points of its polar
+    line x·y = 0 (mod q).  q² + q + 1 vertices, q(q + 1)²/2 edges, C4-free.
+    """
+    points = [
+        p for p in product(range(q), repeat=3)
+        if any(p) and next(c for c in p if c) == 1
+    ]
+    return Graph.from_edges(len(points), [
+        (i, j) for (i, x), (j, y) in combinations(enumerate(points), 2)
+        if sum(a * b for a, b in zip(x, y)) % q == 0
+    ])
+
 
 class TestHillClimb:
     def test_n7_c8_is_complete(self):
@@ -441,23 +499,10 @@ def creates_by_containment(g, u, v, desc):
 
 
 def first_addable_per_pair(g, desc):
-    """The reference for `first_addable_edge`, judged pair by pair.  On a
-    host that already contains a cycle-shaped pattern `contains` blocks
-    every pair, so there (u, v) is blocked, by the definition, iff some
-    (M-1)-edge path of g (`bruteforce.all_paths`) joins u and v.
-    """
-    M = as_cycle_length(desc)
-    if M is not None and contains(g, desc).status == "found":
-        ends = {frozenset((p[0], p[-1])) for p in all_paths(g, M - 1)}
-
-        def blocked(u, v):
-            return frozenset((u, v)) in ends
-    else:
-        def blocked(u, v):
-            return creates_by_containment(g, u, v, desc)
-
+    """The reference for `first_addable_edge`, judged pair by pair: the
+    first non-edge (u, v) such that g + (u, v) is pattern-free."""
     for u, v in combinations(g.vertices(), 2):
-        if not g.has_edge(u, v) and not blocked(u, v):
+        if not g.has_edge(u, v) and not creates_by_containment(g, u, v, desc):
             return (u, v)
     return None
 
@@ -498,6 +543,24 @@ class TestFirstAddableEdge:
                 desc = parse_pattern(text)
                 assert first_addable_edge(g, desc) == \
                     first_addable_per_pair(g, desc), (g, text)
+
+    @pytest.mark.parametrize("pattern", PATTERNS)
+    def test_hosts_that_contain_the_pattern(self, pattern):
+        # nothing is addable to a host that already contains the pattern,
+        # on the cycle route as on the template route; C4 plus two
+        # isolated vertices has no 3-edge path from 4 to 5
+        desc = parse_pattern(pattern)
+        hosts = [
+            g for g in [Graph(6, cycle_graph(4).edges),
+                        *random_small_graphs(40, 10, seed=23, density=2.0)]
+            if contains(g, desc).status == "found"
+        ]
+        assert hosts
+        for g in hosts[:10]:
+            assert first_addable_edge(g, desc) is None, (g, pattern)
+            for u, v in combinations(g.vertices(), 2):
+                if not g.has_edge(u, v):
+                    assert adding_edge_creates(g, u, v, desc), (g, u, v)
 
     @pytest.mark.parametrize("pattern,n,seed", [
         ("cycle:4", 14, 3), ("kst:2,2^2", 18, 4), ("kst:2,2^2", 26, 9),
