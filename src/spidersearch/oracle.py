@@ -14,6 +14,7 @@ from bisect import bisect_right
 from collections import Counter
 from collections.abc import Collection, Sequence
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations
 
 from .graph import Graph
@@ -132,6 +133,10 @@ def verify_embedding(G: Graph, w: Witness) -> bool:
 
 
 _NO_VERTICES: frozenset[int] = frozenset()
+
+# a process meets few templates, each with one plan per anchor plus the
+# unpinned one; the bound keeps a process meeting many from growing
+_PLAN_CACHE_SIZE = 256
 
 
 def _distances_to(
@@ -255,19 +260,32 @@ def find_cycle(
 
 class _EdgeCheck:
     """Does adding the non-edge (u, v) to a pattern-free graph create the
-    pattern?  One instance follows one graph as `add` grows it.  The answer
-    is meant for pattern-free graphs: on a graph that already contains the
-    pattern, the cycle route below asks for a new cycle through (u, v).
+    pattern?  One instance follows one graph as `add` and `remove` change
+    it.  The answer is meant for pattern-free graphs: on a graph that
+    already contains the pattern, it asks for a new copy through (u, v).
 
     A cycle of length M appears iff an (M-1)-edge path joins u and v.  The
     BFS distance tables of that search, one per target vertex, are shared
-    between queries and dropped when an added edge changes them.  Other
-    patterns run `contains` on the graph plus (u, v).
+    between queries and dropped when an added or removed edge changes them.
+
+    For other patterns every new copy uses the edge (u, v), so the check
+    maps (u, v) onto one pattern edge per anchor (see `_anchors`), in both
+    orientations, and `_template_search` routes the rest of the copy with
+    those two images pinned.  A copy it finds is spliced back into a
+    witness of the whole pattern and verified on the graph plus (u, v).
     """
 
     def __init__(self, desc: PatternDescriptor) -> None:
         self.desc = desc
         self.M = as_cycle_length(desc)
+        if self.M is None:
+            self.tmpl = compile_template(desc)
+            self.anchors = _anchors(self.tmpl)
+            reqs = self.tmpl.requirements
+            self.pattern_m = sum(ln for _, _, ln in reqs)
+            self.pattern_n = (
+                self.tmpl.num_terminals + self.pattern_m - len(reqs)
+            )
 
     def start(self, G: Graph) -> "_EdgeCheck":
         """Follow G from here on, forgetting any earlier graph."""
@@ -279,9 +297,7 @@ class _EdgeCheck:
 
     def creates(self, u: int, v: int) -> bool:
         if self.M is None:
-            e = (min(u, v), max(u, v))
-            G2 = Graph(self.n, frozenset(self.edges | {e}))
-            return contains(G2, self.desc).status == "found"
+            return self._creates_anchored(u, v)
         tables, length = self.tables, self.M - 1
         # search towards an endpoint that already has a table
         a, b = (v, u) if u in tables and v not in tables else (u, v)
@@ -289,6 +305,45 @@ class _EdgeCheck:
             tables[b] = _distances_to(self.adj, b, length, _NO_VERTICES)
         path = next(_walk_paths(self.adj, a, b, length, tables[b]), None)
         return path is not None
+
+    def _creates_anchored(self, u: int, v: int) -> bool:
+        if self.pattern_m > len(self.edges) + 1 or self.pattern_n > self.n:
+            return False
+        # the pins are in use, so no other path of the copy can take the
+        # edge (u, v): the rest of the copy is searched in the graph itself
+        for anchor in self.anchors:
+            anchored, _, x, y = anchor
+            for pins in ({x: u, y: v}, {x: v, y: u}):
+                sol = _template_search(self.adj, anchored, None, pins)
+                if sol is not None:
+                    self._verify(u, v, anchor, *sol)
+                    return True
+        return False
+
+    def _verify(
+        self,
+        u: int,
+        v: int,
+        anchor: tuple[Template, int, int, int],
+        img: dict[int, int],
+        paths: dict[int, tuple[int, ...]],
+    ) -> None:
+        """Splice an embedding of the anchored template into a witness of
+        the pattern and verify it on the graph plus (u, v)."""
+        anchored, r, x, y = anchor
+        a, b, _ = self.tmpl.requirements[r]
+        rest = [paths[i] for i in range(len(self.tmpl.requirements) - 1)]
+        head = paths[len(rest)] if x != a else (img[a],)
+        tail = paths[len(anchored.requirements) - 1] if y != b else (img[b],)
+        w = Witness(
+            pattern=self.desc,
+            terminals=tuple(img[t] for t in range(self.tmpl.num_terminals)),
+            paths=(*rest[:r], head + tail, *rest[r:]),
+            route="oracle",
+        )
+        e = (min(u, v), max(u, v))
+        if not verify_embedding(Graph(self.n, frozenset(self.edges | {e})), w):
+            raise RuntimeError("anchored witness failed verification")
 
     def add(self, u: int, v: int) -> None:
         self.edges.add((min(u, v), max(u, v)))
@@ -299,6 +354,62 @@ class _EdgeCheck:
         self.tables = {
             t: d for t, d in self.tables.items() if abs(d[u] - d[v]) <= 1
         }
+
+    def remove(self, u: int, v: int) -> None:
+        self.edges.discard((min(u, v), max(u, v)))
+        self.adj[u].discard(v)
+        self.adj[v].discard(u)
+        # an edge whose ends lie on one level is on no shortest path to the
+        # target, so removing it lengthens no distance in that table
+        self.tables = {
+            t: d for t, d in self.tables.items() if d[u] == d[v]
+        }
+
+
+def _anchors(tmpl: Template) -> list[tuple[Template, int, int, int]]:
+    """The anchored templates of `tmpl`: one per orbit of its edges under
+    the twin swaps that `_twin_predecessors` tests.
+
+    The edge at position j of requirement r = (a, b, L) joins the j-th and
+    (j+1)-th vertices of that path.  Its anchored template drops r; the
+    edge's ends become terminals x and y (x = a when j = 0, y = b when
+    j = L-1, new terminals numbered on from the template's otherwise), and
+    it adds the requirements (a, x, j) and (y, b, L-1-j) whose lengths are
+    positive, in that order after the others.  A copy of the pattern that
+    maps this edge onto (u, v) is an embedding of the anchored template
+    with x and y pinned to u and v.
+
+    Twin swaps generate every permutation within each twin class, and
+    each permutation is an automorphism of the pattern.  So two edges lie
+    in one orbit iff their paths have one length and ends in the same
+    classes, and they sit at the same position counted from ends in the
+    same class; the copies through one are images of the copies through
+    the other, and one anchor per orbit loses no copy.  Returns tuples
+    (anchored template, r, x, y).
+    """
+    cls: dict[int, int] = {}  # terminal -> first member of its twin class
+    for q, p in _search_plan(tmpl, _NO_VERTICES)[3].items():
+        cls[q] = cls.get(p, p)
+    reqs = tmpl.requirements
+    first: dict[tuple[int, int, int, int], tuple[int, int]] = {}
+    for r, (a, b, ln) in enumerate(reqs):
+        ca, cb = cls.get(a, a), cls.get(b, b)
+        for j in range(ln):
+            key = min((ca, cb, ln, j), (cb, ca, ln, ln - 1 - j))
+            first.setdefault(key, (r, j))
+
+    anchors = []
+    T = tmpl.num_terminals
+    for r, j in first.values():
+        a, b, ln = reqs[r]
+        x = a if j == 0 else T
+        y = b if j == ln - 1 else T + (j > 0)
+        extra = ((a, x, j),) * (j > 0) + ((y, b, ln - 1 - j),) * (j < ln - 1)
+        anchored = Template(
+            T + (j > 0) + (j < ln - 1), reqs[:r] + reqs[r + 1:] + extra
+        )
+        anchors.append((anchored, r, x, y))
+    return anchors
 
 
 def adding_edge_creates(
@@ -363,13 +474,18 @@ def _cycle_containment(
     return ContainmentResult("found", w, nodes=budget.nodes if budget else 0)
 
 
-def _requirement_order(tmpl: Template, incident: dict[int, int]) -> list[int]:
+def _requirement_order(
+    tmpl: Template,
+    incident: dict[int, int],
+    pinned: Collection[int] = _NO_VERTICES,
+) -> list[int]:
     """Process requirements so each one touches already-assigned terminals
-    where possible; most-constrained terminals (by `incident`, requirements
-    per terminal) enter first, shorter paths first on ties.
+    where possible, the `pinned` ones assigned from the start;
+    most-constrained terminals (by `incident`, requirements per terminal)
+    enter first, shorter paths first on ties.
     """
     remaining = list(range(len(tmpl.requirements)))
-    assigned: set[int] = set()
+    assigned: set[int] = set(pinned)
     order = []
     while remaining:
         def rank(i: int):
@@ -414,10 +530,36 @@ def _twin_predecessors(tmpl: Template, entry: list[int]) -> dict[int, int]:
     return after
 
 
+@lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _search_plan(
+    tmpl: Template, pinned: frozenset[int]
+) -> tuple[dict[int, int], tuple[int, ...], tuple[int, ...], dict[int, int]]:
+    """What `_template_search` derives from the template and its pinned
+    terminals alone: requirements per terminal, the requirement order
+    seeded with the pins, the order in which the other terminals enter,
+    and their twin predecessors.  Memoised; callers only read it.
+    """
+    incident: dict[int, int] = {}
+    for a, b, _ in tmpl.requirements:
+        incident[a] = incident.get(a, 0) + 1
+        incident[b] = incident.get(b, 0) + 1
+    order = _requirement_order(tmpl, incident, pinned)
+    entry = tuple(dict.fromkeys(
+        t for r in order for t in tmpl.requirements[r][:2] if t not in pinned
+    ))
+    return incident, tuple(order), entry, _twin_predecessors(tmpl, entry)
+
+
 def _template_search(
-    G: Graph, tmpl: Template, budget: SearchBudget | None
+    G: Graph | Sequence[Collection[int]],
+    tmpl: Template,
+    budget: SearchBudget | None,
+    pins: dict[int, int] | None = None,
 ) -> tuple[dict[int, int], dict[int, tuple[int, ...]]] | None:
     """The first embedding of the template in G in search order, or None.
+    G is a graph or its adjacency, one neighbour collection per vertex;
+    paths follow the order in which it lists neighbours.  `pins` maps
+    terminals to fixed images.
 
     Requirements are routed in `_requirement_order`; a requirement with a
     new end tries its images in ascending vertex order, then every exact
@@ -428,7 +570,8 @@ def _template_search(
     breaks this order lies in an earlier, exhaustively searched sibling
     branch: the first embedding found is the one the unordered search
     finds, with at most as many budget ticks, and up to s!·t! times fewer
-    for K_{s,t}^k.
+    for K_{s,t}^k.  Pinned terminals never enter, and a swap of two
+    unpinned twins fixes the pins, so the same holds with pins.
 
     All paths of one search node avoid the same set, so distance tables
     are shared per target within the node; a new `b` skips every image
@@ -436,23 +579,21 @@ def _template_search(
     its first tick.  Terminals that no requirement touches take the
     smallest unused vertices at the end.
     """
-    adj = [G.neighbors(v) for v in G.vertices()]  # ascending
-    incident: dict[int, int] = {}
-    for a, b, _ in tmpl.requirements:
-        incident[a] = incident.get(a, 0) + 1
-        incident[b] = incident.get(b, 0) + 1
-    order = _requirement_order(tmpl, incident)
-    entry = list(dict.fromkeys(
-        t for r in order for t in tmpl.requirements[r][:2]
-    ))
-    after = _twin_predecessors(tmpl, entry)
+    if isinstance(G, Graph):
+        adj: Sequence[Collection[int]] = [
+            G.neighbors(v) for v in G.vertices()  # ascending
+        ]
+    else:
+        adj = G
+    pins = pins or {}
+    incident, order, entry, after = _search_plan(tmpl, frozenset(pins))
     pool = {
-        t: [x for x in G.vertices() if len(adj[x]) >= incident[t]]
+        t: [x for x in range(len(adj)) if len(adj[x]) >= incident[t]]
         for t in entry
     }
 
-    img: dict[int, int] = {}
-    used: set[int] = set()  # terminal images + path interiors
+    img = dict(pins)
+    used = set(pins.values())  # terminal images + path interiors
     paths: dict[int, tuple[int, ...]] = {}
 
     def candidates(term: int) -> list[int]:
@@ -518,8 +659,8 @@ def _template_search(
         return None
     # every embedding covers the same number of vertices, so when too few
     # are left here, none is left in any other embedding either
-    loose = [t for t in range(tmpl.num_terminals) if t not in incident]
-    free = [x for x in G.vertices() if x not in used]
+    loose = [t for t in range(tmpl.num_terminals) if t not in img]
+    free = [x for x in range(len(adj)) if x not in used]
     if len(free) < len(loose):
         return None
     img.update(zip(loose, free))
@@ -670,9 +811,10 @@ def extremal_number(
 
     Exhaustive for n <= EXHAUSTIVE_N_LIMIT: a depth-first search adds the
     pairs in lexicographic order, include first, one budget tick per
-    node.  `_EdgeCheck` admits a pair only while the graph stays
-    pattern-free, and a branch that cannot beat the best set is cut; the
-    witness is the lexicographically first largest pattern-free edge set.
+    node.  One `_EdgeCheck` follows the search as it adds and removes
+    pairs and admits a pair only while the graph stays pattern-free, and
+    a branch that cannot beat the best set is cut; the witness is the
+    lexicographically first largest pattern-free edge set.
     Larger n, or budget exhaustion, falls back to the hill-climbing
     heuristic (exhaustive flag False).
     """
@@ -680,22 +822,26 @@ def extremal_number(
         raise ValueError("n must be >= 1")
     if n <= EXHAUSTIVE_N_LIMIT:
         pairs = list(combinations(range(n), 2))
-        check = _EdgeCheck(desc)
+        check = _EdgeCheck(desc).start(Graph(n, frozenset()))
+        chosen = check.edges
         budget = (budget or SearchBudget()).start()
         best: list[tuple[int, int]] = []
 
-        def search(i: int, chosen: frozenset[tuple[int, int]]) -> None:
+        def search(i: int) -> None:
             budget.tick()
             if len(chosen) > len(best):
                 best[:] = chosen
             if len(chosen) + len(pairs) - i <= len(best):
                 return
-            if not check.start(Graph(n, chosen)).creates(*pairs[i]):
-                search(i + 1, chosen | {pairs[i]})
-            search(i + 1, chosen)
+            u, v = pairs[i]
+            if not check.creates(u, v):
+                check.add(u, v)
+                search(i + 1)
+                check.remove(u, v)
+            search(i + 1)
 
         try:
-            search(0, frozenset())
+            search(0)
             g = Graph(n, frozenset(best))
             return ExtremalResult(n, desc, g.m, g, exhaustive=True)
         except BudgetExhausted:

@@ -20,6 +20,7 @@ from spidersearch.oracle import (
     SearchBudget,
     Witness,
     _EdgeCheck,
+    _distances_to,
     _iter_exact_paths,
     _template_search,
     adding_edge_creates,
@@ -417,6 +418,17 @@ class TestExtremal:
         assert (g.n, g.m) == (q * q + q + 1, edges)
         assert contains(g, parse_pattern("cycle:4")).status == "absent"
 
+    @pytest.mark.parametrize("pattern,nodes", [
+        ("cycle:4", 7725), ("cycle:5", 4465), ("cycle:6", 1635),
+        ("kst:2,3", 3178),
+    ])
+    def test_frozen_node_counts(self, pattern, nodes):
+        # what --node-limit counts: one tick per node of the search, which
+        # moves only when the search order or its cuts do
+        budget = SearchBudget()
+        res = extremal_number(6, parse_pattern(pattern), budget)
+        assert res.exhaustive and budget.nodes == nodes
+
     def test_small_node_limit_falls_back(self):
         desc = parse_pattern("cycle:4")
         res = extremal_number(6, desc, SearchBudget(10))
@@ -528,6 +540,79 @@ class TestEdgeCheck:
                 u, v = e if rng.random() < 0.5 else e[::-1]
                 assert check.creates(u, v) == want, (pattern, seed, g, e)
                 assert adding_edge_creates(g, u, v, desc) == want
+                if not want:
+                    check.add(u, v)
+                    g = Graph(n, g.edges | {e})
+            assert check.edges == g.edges
+
+    @pytest.mark.parametrize("pattern,anchors", [
+        ("arbitrary:6:0-1;1-2;2-3;3-4;1-5;2-5", 6),  # no two twins
+        ("spider:1,2,2*2", 3),  # unequal legs
+        ("kst:3,3", 1),
+        ("kst:2,3^2", 2),
+        ("kst:1,1", 1),  # the anchor is the whole pattern
+        ("arbitrary:5:0-1;2-3", 2),  # an isolated terminal beside the pins
+    ])
+    def test_anchored_route_in_both_orientations(self, pattern, anchors):
+        # the anchored check sees only copies through (u, v), which on a
+        # pattern-free graph are all the copies that adding (u, v) makes.
+        # Hosts: the pattern graph, relabelled, less one edge, on two more
+        # vertices with one more edge where that keeps them pattern-free
+        desc = parse_pattern(pattern)
+        check = _EdgeCheck(desc)
+        assert check.M is None and len(check.anchors) == anchors
+        H = instantiate(desc)
+        n = H.n + 2
+        rng = random.Random(11)
+        verdicts = set()
+        for e in H.sorted_edges():
+            label = rng.sample(range(n), n)
+            g = Graph.from_edges(
+                n, [(label[a], label[b]) for a, b in H.edges - {e}]
+            )
+            extra = rng.choice([p for p in combinations(range(n), 2)
+                                if not g.has_edge(*p)])
+            if not creates_by_containment(g, *extra, desc):
+                g = Graph(n, g.edges | {extra})
+            check.start(g)
+            for u, v in combinations(range(n), 2):
+                if g.has_edge(u, v):
+                    continue
+                want = creates_by_containment(g, u, v, desc)
+                assert check.creates(u, v) == want, (pattern, g, u, v)
+                assert check.creates(v, u) == want, (pattern, g, v, u)
+                verdicts.add(want)
+        assert verdicts == ({True} if pattern == "kst:1,1" else {True, False})
+
+    @pytest.mark.parametrize(
+        "pattern", ["cycle:4", "cycle:6", "kst:2,2^2", "kst:2,3"]
+    )
+    def test_answers_track_removed_edges(self, pattern):
+        # a seeded walk of additions and removals, as in the exhaustive
+        # extremal search; every answer is judged afresh, and every distance
+        # table the check keeps must equal a fresh one (a table a removal
+        # lengthened still bounds from below, so answers alone miss it)
+        desc = parse_pattern(pattern)
+        for seed in range(4):
+            rng = random.Random(seed)
+            n = rng.randint(7, 11)
+            g = Graph(n, frozenset())
+            check = _EdgeCheck(desc).start(g)
+            for _ in range(120):
+                for t, dist in check.tables.items():
+                    fresh = _distances_to(check.adj, t, check.M - 1, set())
+                    assert dist == fresh, (pattern, seed, g, t)
+                free = [p for p in combinations(range(n), 2)
+                        if p not in g.edges]
+                if not free or (g.edges and rng.random() < 0.3):
+                    e = rng.choice(g.sorted_edges())
+                    check.remove(*(e if rng.random() < 0.5 else e[::-1]))
+                    g = Graph(n, g.edges - {e})
+                    continue
+                e = rng.choice(free)
+                u, v = e if rng.random() < 0.5 else e[::-1]
+                want = creates_by_containment(g, *e, desc)
+                assert check.creates(u, v) == want, (pattern, seed, g, e)
                 if not want:
                     check.add(u, v)
                     g = Graph(n, g.edges | {e})
