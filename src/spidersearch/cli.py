@@ -28,7 +28,6 @@ from .goodness import (
     not_good_ratio,
 )
 from .graph import (
-    BalanceUndecidable,
     Graph,
     complete_bipartite,
     cycle_graph,
@@ -360,7 +359,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "sweep":
             return _cmd_sweep(args)
         raise ValueError(f"unknown command {args.command!r}")
-    except (ValueError, OSError, RuntimeError, BalanceUndecidable) as exc:
+    except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -358,7 +358,6 @@ def assemble_blowup(
     targets: tuple[int, ...],
     t: int,
     desc: PatternDescriptor | None = None,
-    Z0: Iterable[int] = (),
 ) -> Witness:
     """Repeatedly build+connect to collect t spiders with one shared leaf
     vector, disjoint elsewhere; their union is the rooted t-blowup.
@@ -372,9 +371,7 @@ def assemble_blowup(
     gamma0 = _gamma_schedule(fam.lv, targets)[0]
     r0 = spider_layout(fam.lv).truncations[gamma0](fam.members[0])
     roots = _truncated_leaf(fam.lv, gamma0)(r0)
-    Z = set(Z0)
-    if Z & set(roots):
-        raise ValueError("initial Z intersects the chosen leaf vector")
+    Z: set[int] = set()
 
     full = spider_layout(targets)
     legs_done: list[FlatSpider] = []

@@ -5,9 +5,10 @@ Classification is strictly level by level: goodness at a level needs the
 complete admissible counts of that level, so each level first collects its
 admissible objects and then marks as good those whose key (endpoint pair
 or leaf vector) is rare enough (`_classify_level`, shared by paths and
-spiders).  Paths of each length are enumerated.  Spiders are enumerated
-only for the all-ones vector; every longer vector is built from the good
-spiders one edge shorter, which are the only spiders it can extend.
+spiders).  Paths of each length are enumerated as one-leg spiders.
+Spiders are enumerated only for the all-ones vector; every longer vector
+is built from the good spiders one edge shorter, which are the only
+spiders it can extend.
 Spider levels hold flat spiders, read through the layout of their vector
 (`spiders.spider_layout`).
 """
@@ -135,25 +136,10 @@ def canonical_path(path: Path) -> Path:
     return path if path[0] < path[-1] else path[::-1]
 
 
-def _directed_paths(G: Graph, length: int) -> Iterator[Path]:
-    """All directed simple paths with `length` edges."""
-    def walk(path: list[int]) -> Iterator[Path]:
-        if len(path) - 1 == length:
-            yield tuple(path)
-            return
-        for w in G.neighbors(path[-1]):
-            if w not in path:
-                path.append(w)
-                yield from walk(path)
-                path.pop()
-
-    for u in G.vertices():
-        yield from walk([u])
-
-
 def enumerate_paths(G: Graph, length: int) -> Iterator[Path]:
-    """Every undirected simple path with `length` edges, once, canonically."""
-    for p in _directed_paths(G, length):
+    """Every undirected simple path with `length` >= 1 edges, once,
+    canonically: the one-leg spiders whose centre is below their leaf."""
+    for p in enumerate_spiders(G, (length,)):
         if p[0] < p[-1]:
             yield p
 

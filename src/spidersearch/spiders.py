@@ -78,27 +78,31 @@ def validate_spider(G: Graph, sp: FlatSpider, lv: tuple[int, ...]) -> None:
 def enumerate_spiders(G: Graph, lv: tuple[int, ...]) -> Iterator[FlatSpider]:
     """Yield every spider with length vector lv exactly once, in ascending
     order: centre first, then leg 1's vertices, then leg 2's, and so on.
-    Streaming DFS; nothing is materialized.
+    Streaming DFS; nothing is materialized.  Iterative, so leg length is
+    not bounded by the recursion limit.
     """
     if not lv or any(x < 1 for x in lv):
         raise ValueError("length vector entries must be >= 1")
-    size = 1 + sum(lv)
+    last = sum(lv)  # position of the final vertex in the flat tuple
     # positions of each leg's first vertex, which hangs off the centre
     starts = set(accumulate(lv[:-1], initial=1))
-    flat: list[int] = []
-
-    def grow() -> Iterator[FlatSpider]:
-        if len(flat) == size:
-            yield tuple(flat)
-            return
-        tip = flat[0] if len(flat) in starts else flat[-1]
-        for w in G.neighbors(tip):
-            if w not in flat:
-                flat.append(w)
-                yield from grow()
-                flat.pop()
-
     for centre in G.vertices():
-        flat.append(centre)
-        yield from grow()
-        flat.pop()
+        flat = [centre]
+        on_spider = {centre}
+        # stack[i] iterates the candidates for flat position i + 1
+        stack = [iter(G.neighbors(centre))]
+        while stack:
+            for w in stack[-1]:
+                if w in on_spider:
+                    continue
+                if len(flat) == last:
+                    yield (*flat, w)
+                    continue
+                flat.append(w)
+                on_spider.add(w)
+                tip = centre if len(flat) in starts else w
+                stack.append(iter(G.neighbors(tip)))
+                break
+            else:
+                stack.pop()
+                on_spider.discard(flat.pop())

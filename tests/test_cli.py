@@ -15,6 +15,7 @@ from spidersearch.graph import (
     complete_bipartite,
     complete_graph,
     cycle_graph,
+    path_graph,
     random_gnm,
     subdivide,
 )
@@ -76,6 +77,12 @@ class TestSpiders:
         code, out, _ = run(capsys, "spiders", "count", "--graph", path,
                            "--lv", "2,2")
         assert code == 0 and out == "total=16\n"
+
+    def test_count_leg_longer_than_recursion_limit(self, capsys, tmp_path):
+        path = write_graph(tmp_path, path_graph(1100))
+        code, out, _ = run(capsys, "spiders", "count", "--graph", path,
+                           "--lv", "1050")
+        assert code == 0 and out == "total=102\n"
 
     def test_by_leaf(self, capsys, tmp_path):
         path = write_graph(tmp_path, cycle_graph(8))

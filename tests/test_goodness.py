@@ -311,3 +311,6 @@ class TestEnumeratePaths:
         assert canonical_path((3, 1, 0)) == (0, 1, 3)
         for p in enumerate_paths(random_gnm(8, 14, seed=9), 3):
             assert p[0] < p[-1]
+
+    def test_longer_than_recursion_limit(self):
+        assert sum(1 for _ in enumerate_paths(path_graph(1100), 1050)) == 51

@@ -5,11 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spidersearch.finder import refine_family
-from spidersearch.goodness import Thresholds
+from spidersearch.goodness import Thresholds, enumerate_paths
 from spidersearch.graph import (
     complete_bipartite,
     complete_graph,
     cycle_graph,
+    path_graph,
     random_gnm,
 )
 from spidersearch.spiders import (
@@ -44,6 +45,10 @@ class TestEnumeration:
             for lv in [(1, 1), (2,), (1, 2), (2, 2)]:
                 got = {unflatten(sp, lv) for sp in enumerate_spiders(g, lv)}
                 assert got == set(all_spiders(g, lv)), (g, lv)
+
+    def test_leg_longer_than_recursion_limit(self):
+        g = path_graph(1100)
+        assert sum(1 for _ in enumerate_spiders(g, (1050,))) == 102
 
     def test_canonical_order_and_validity(self):
         g = random_gnm(10, 20, seed=2)
@@ -200,5 +205,7 @@ class TestSpiderLayout:
         g = complete_bipartite(2, 3)
         with pytest.raises(ValueError):
             list(enumerate_spiders(g, (2, 0)))
+        with pytest.raises(ValueError):
+            list(enumerate_paths(g, 0))
         with pytest.raises(ValueError):
             refine_family([], (2, 0), Thresholds.constant(1), delta=1, L=1)
