@@ -177,7 +177,6 @@ class BuildResult:
     end_leaves: tuple[int, ...]
     s_chain: tuple[FlatSpider, ...]
     t_chain: tuple[FlatSpider, ...]
-    z_overflow: bool  # |Z| exceeded L (reported, not enforced)
 
 
 def _gamma_schedule(
@@ -245,7 +244,6 @@ def build_paths(
         (j for j, col in enumerate(cols) if any(col)), default=-1
     )
     J = last + 1
-    z_overflow = len(zset) > fam.L
 
     grid: list[tuple[int, ...]] = [start]
     s_chain: list[FlatSpider] = []
@@ -324,7 +322,6 @@ def build_paths(
         end_leaves=end,
         s_chain=tuple(s_chain),
         t_chain=tuple(t_chain),
-        z_overflow=z_overflow,
     )
 
 
@@ -432,6 +429,8 @@ def find_kstk(
     """
     if s < 2 or t < 2 or k < 2:
         raise ValueError("s, t, k must all be >= 2")
+    if L < 1:
+        raise ValueError("L must be >= 1")
     desc = kst_pattern(s, t, k)
     notes: list[str] = []
     tried: list[tuple[int, ...]] = []

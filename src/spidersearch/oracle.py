@@ -213,26 +213,6 @@ def _walk_paths(
             on_path.discard(path.pop())
 
 
-def _iter_exact_paths(
-    adj: Sequence[Collection[int]],
-    u: int,
-    v: int,
-    length: int,
-    forbidden: Collection[int],
-    budget: SearchBudget | None = None,
-):
-    """Iterator over all simple u-v paths of exact length avoiding
-    `forbidden` internally, in lexicographic order when `adj` lists each
-    vertex's neighbours in ascending order.
-    """
-    if u == v or u in forbidden or v in forbidden:
-        return iter(())
-    if length == 1:
-        return iter(((u, v),) if v in adj[u] else ())
-    dist = _distances_to(adj, v, length, forbidden)
-    return _walk_paths(adj, u, v, length, dist, budget)
-
-
 def _adj_sets(G: Graph) -> list[set[int]]:
     return [set(G.neighbors(v)) for v in G.vertices()]
 
@@ -251,8 +231,8 @@ def find_cycle(
     for u, v in G.sorted_edges():
         adj[u].discard(v)
         adj[v].discard(u)
-        paths = _iter_exact_paths(adj, u, v, length - 1, _NO_VERTICES, budget)
-        p = next(paths, None)
+        dist = _distances_to(adj, v, length - 1, _NO_VERTICES)
+        p = next(_walk_paths(adj, u, v, length - 1, dist, budget), None)
         if p is not None:
             return p
     return None
@@ -281,11 +261,6 @@ class _EdgeCheck:
         if self.M is None:
             self.tmpl = compile_template(desc)
             self.anchors = _anchors(self.tmpl)
-            reqs = self.tmpl.requirements
-            self.pattern_m = sum(ln for _, _, ln in reqs)
-            self.pattern_n = (
-                self.tmpl.num_terminals + self.pattern_m - len(reqs)
-            )
 
     def start(self, G: Graph) -> "_EdgeCheck":
         """Follow G from here on, forgetting any earlier graph."""
@@ -307,8 +282,6 @@ class _EdgeCheck:
         return path is not None
 
     def _creates_anchored(self, u: int, v: int) -> bool:
-        if self.pattern_m > len(self.edges) + 1 or self.pattern_n > self.n:
-            return False
         # the pins are in use, so no other path of the copy can take the
         # edge (u, v): the rest of the copy is searched in the graph itself
         for anchor in self.anchors:
@@ -450,28 +423,18 @@ class ContainmentResult:
     nodes: int = 0
 
 
-def _cycle_containment(
-    G: Graph, desc: PatternDescriptor, M: int, budget: SearchBudget | None
-) -> ContainmentResult:
-    try:
-        cyc = find_cycle(G, M, budget)
-    except BudgetExhausted:
-        return ContainmentResult("budget", nodes=budget.nodes if budget else 0)
+def _cycle_embedding(
+    G: Graph, desc: PatternDescriptor, tmpl: Template, M: int,
+    budget: SearchBudget | None,
+) -> tuple[dict[int, int], dict[int, tuple[int, ...]]] | None:
+    """`find_cycle`'s M-cycle laid onto the cycle-shaped pattern, as
+    terminal images and one host path per requirement, or None."""
+    cyc = find_cycle(G, M, budget)
     if cyc is None:
-        return ContainmentResult("absent", nodes=budget.nodes if budget else 0)
-    tmpl = compile_template(desc)
-    H = instantiate(desc)
-    vmap = dict(zip(cycle_order(H), cyc))
+        return None
+    vmap = dict(zip(cycle_order(instantiate(desc)), cyc))
     chains = requirement_chains(tmpl)
-    w = Witness(
-        pattern=desc,
-        terminals=tuple(vmap[i] for i in range(tmpl.num_terminals)),
-        paths=tuple(tuple(vmap[x] for x in chain) for chain in chains),
-        route="oracle",
-    )
-    if not verify_embedding(G, w):
-        raise RuntimeError("cycle witness failed verification")
-    return ContainmentResult("found", w, nodes=budget.nodes if budget else 0)
+    return vmap, {i: tuple(vmap[x] for x in c) for i, c in enumerate(chains)}
 
 
 def _requirement_order(
@@ -551,15 +514,16 @@ def _search_plan(
 
 
 def _template_search(
-    G: Graph | Sequence[Collection[int]],
+    adj: Sequence[Collection[int]],
     tmpl: Template,
     budget: SearchBudget | None,
     pins: dict[int, int] | None = None,
 ) -> tuple[dict[int, int], dict[int, tuple[int, ...]]] | None:
-    """The first embedding of the template in G in search order, or None.
-    G is a graph or its adjacency, one neighbour collection per vertex;
-    paths follow the order in which it lists neighbours.  `pins` maps
-    terminals to fixed images.
+    """The first embedding of the template in the host with adjacency
+    `adj`, one neighbour collection per vertex, in search order, or None.
+    Paths follow the order in which `adj` lists neighbours.  `pins` maps
+    terminals to fixed images.  A template with more edges or more
+    vertices than the host is absent before the first budget tick.
 
     Requirements are routed in `_requirement_order`; a requirement with a
     new end tries its images in ascending vertex order, then every exact
@@ -579,12 +543,11 @@ def _template_search(
     its first tick.  Terminals that no requirement touches take the
     smallest unused vertices at the end.
     """
-    if isinstance(G, Graph):
-        adj: Sequence[Collection[int]] = [
-            G.neighbors(v) for v in G.vertices()  # ascending
-        ]
-    else:
-        adj = G
+    size = sum(ln for _, _, ln in tmpl.requirements)
+    if 2 * size > sum(map(len, adj)) or (  # degrees sum to twice the edges
+        tmpl.num_terminals + size - len(tmpl.requirements) > len(adj)
+    ):
+        return None
     pins = pins or {}
     incident, order, entry, after = _search_plan(tmpl, frozenset(pins))
     pool = {
@@ -629,8 +592,6 @@ def _template_search(
                 near = table(xa)
                 xbs = [x for x in candidates(b) if near[x] <= length]
             for xb in xbs:
-                if xb == xa:  # only a loop requirement (a == b) gets here
-                    continue
                 new_b = b not in img
                 if new_b:
                     img[b] = xb
@@ -673,28 +634,28 @@ def contains(
     """Backtracking containment: branch-vertex assignment plus internally
     disjoint path routing.  'absent' means the search space was exhausted.
 
-    Cycle-shaped patterns take `find_cycle`.  Other patterns answer
-    'absent' at once (0 nodes) when the pattern graph has more vertices
-    or edges than G, and otherwise take `_template_search`, whose twin
-    ordering returns the same witness as the unordered search in at most
-    as many nodes: a `--node-limit` that sufficed before still does, and
-    some that ran out before now finish.
+    Cycle-shaped patterns take `find_cycle`, other patterns
+    `_template_search`, which answers 'absent' at once (0 nodes) when the
+    pattern graph has more vertices or edges than G; its twin ordering
+    returns the same witness as the unordered search in at most as many
+    nodes: a `--node-limit` that sufficed before still does, and some that
+    ran out before now finish.  Either route's embedding is verified.
     """
     if budget is not None:
         budget.start()
-    M = as_cycle_length(desc)
-    if M is not None:
-        return _cycle_containment(G, desc, M, budget)
     tmpl = compile_template(desc)
-    size = sum(ln for _, _, ln in tmpl.requirements)
-    if size > G.m or tmpl.num_terminals + size - len(tmpl.requirements) > G.n:
-        return ContainmentResult("absent", nodes=0)
+    M = as_cycle_length(desc)
     try:
-        sol = _template_search(G, tmpl, budget)
+        if M is not None:
+            sol = _cycle_embedding(G, desc, tmpl, M, budget)
+        else:
+            adj = [G.neighbors(v) for v in G.vertices()]  # ascending
+            sol = _template_search(adj, tmpl, budget)
     except BudgetExhausted:
         return ContainmentResult("budget", nodes=budget.nodes if budget else 0)
+    nodes = budget.nodes if budget else 0
     if sol is None:
-        return ContainmentResult("absent", nodes=budget.nodes if budget else 0)
+        return ContainmentResult("absent", nodes=nodes)
     img, paths = sol
     w = Witness(
         pattern=desc,
@@ -703,8 +664,9 @@ def contains(
         route="oracle",
     )
     if not verify_embedding(G, w):
-        raise RuntimeError("search witness failed verification")
-    return ContainmentResult("found", w, nodes=budget.nodes if budget else 0)
+        route = "cycle" if M is not None else "search"
+        raise RuntimeError(f"{route} witness failed verification")
+    return ContainmentResult("found", w, nodes=nodes)
 
 
 def is_pattern_free(G: Graph, desc: PatternDescriptor) -> bool:

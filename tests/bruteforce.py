@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from collections.abc import Collection, Sequence
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from typing import NamedTuple
@@ -17,8 +18,9 @@ from spidersearch.graph import Graph
 from spidersearch.oracle import (
     ExtremalResult,
     SearchBudget,
-    _iter_exact_paths,
+    _distances_to,
     _requirement_order,
+    _walk_paths,
     canonical_form,
     contains,
 )
@@ -245,6 +247,26 @@ def brute_contains(G: Graph, H: Graph) -> bool:
             if all(G.has_edge(perm[u], perm[v]) for u, v in hedges):
                 return True
     return False
+
+
+def _iter_exact_paths(
+    adj: Sequence[Collection[int]],
+    u: int,
+    v: int,
+    length: int,
+    forbidden: Collection[int],
+    budget: SearchBudget | None = None,
+):
+    """Iterator over all simple u-v paths of exact length avoiding
+    `forbidden` internally, in lexicographic order when `adj` lists each
+    vertex's neighbours in ascending order.
+    """
+    if u == v or u in forbidden or v in forbidden:
+        return iter(())
+    if length == 1:
+        return iter(((u, v),) if v in adj[u] else ())
+    dist = _distances_to(adj, v, length, forbidden)
+    return _walk_paths(adj, u, v, length, dist, budget)
 
 
 def reference_template_search(

@@ -203,6 +203,17 @@ class TestFind:
                          "--pattern", "kst:zero")
         assert code == 2
 
+    def test_L_below_one_exit_2_on_any_host(self, capsys, tmp_path):
+        # the isolated vertex makes the minimum degree 0, so refinement,
+        # which also checks L, is never reached
+        host = Graph(9, cycle_graph(8).edges)
+        path = write_graph(tmp_path, host)
+        code, out, err = run(capsys, "find", "--graph", path,
+                             "--pattern", "kst:2,2^2",
+                             "--threshold", "const:1", "--L", "0.5")
+        assert code == 2 and out == ""
+        assert err == "error: L must be >= 1\n"
+
     def test_missing_file_exit_2(self, capsys):
         code, _, _ = run(capsys, "find", "--graph", "/nonexistent",
                          "--pattern", "kst:2,2^2")

@@ -20,9 +20,10 @@ from spidersearch.oracle import (
     SearchBudget,
     Witness,
     _EdgeCheck,
+    _anchors,
     _distances_to,
-    _iter_exact_paths,
     _template_search,
+    _walk_paths,
     adding_edge_creates,
     are_isomorphic,
     canonical_form,
@@ -128,8 +129,18 @@ class TestContains:
 
     @pytest.mark.parametrize("pattern", ["kst:2,3^2", "arbitrary:12:0-1"])
     def test_pattern_larger_than_host_is_absent_at_once(self, pattern):
-        res = contains(cycle_graph(10), parse_pattern(pattern), SearchBudget(1))
+        g = cycle_graph(10)
+        res = contains(g, parse_pattern(pattern), SearchBudget(1))
         assert (res.status, res.nodes) == ("absent", 0)
+        # the gate is the template search's own, so the edge check's
+        # anchored templates (one edge fewer, as many vertices) meet it too
+        adj = [g.neighbors(v) for v in g.vertices()]
+        tmpl = compile_template(parse_pattern(pattern))
+        anchored, _, x, y = _anchors(tmpl)[0]
+        for t, pins in ((tmpl, None), (anchored, {x: 0, y: 1})):
+            budget = SearchBudget()
+            assert _template_search(adj, t, budget, pins) is None
+            assert budget.nodes == 0
 
     def test_isolated_pattern_vertices_take_smallest_free_vertices(self):
         desc = parse_pattern("arbitrary:5:1-3")
@@ -190,7 +201,8 @@ class TestContains:
     def test_long_template_path_beyond_recursion_limit(self):
         g = path_graph(1499)
         adj = [g.neighbors(v) for v in g.vertices()]
-        paths = list(_iter_exact_paths(adj, 0, 1499, 1499, set()))
+        dist = _distances_to(adj, 1499, 1499, set())
+        paths = list(_walk_paths(adj, 0, 1499, 1499, dist))
         assert paths == [tuple(range(1500))]
 
 
@@ -221,8 +233,9 @@ class TestTemplateSearchReference:
     @staticmethod
     def pruned(g, tmpl, node_limit=None):
         budget = SearchBudget(node_limit)
+        adj = [g.neighbors(v) for v in g.vertices()]
         try:
-            sol = _template_search(g, tmpl, budget)
+            sol = _template_search(adj, tmpl, budget)
         except BudgetExhausted:
             return "budget", None, None
         return ("absent" if sol is None else "found"), sol, budget.nodes
