@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable
 
-from .goodness import Thresholds, classify_paths, classify_spiders
+from .goodness import Thresholds, check_L, classify_paths, classify_spiders
 from .graph import Graph
 from .oracle import ContainmentResult, SearchBudget, Witness, contains, verify_embedding
 from .patterns import PatternDescriptor, kst_pattern, spider_blowup_pattern
@@ -96,8 +96,7 @@ def refine_family(
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
-    if L < 1:
-        raise ValueError("L must be >= 1")
+    check_L(L)
     if not lv or any(x < 1 for x in lv):
         raise ValueError("length vector entries must be >= 1")
     flat = set(t0)
@@ -429,8 +428,7 @@ def find_kstk(
     """
     if s < 2 or t < 2 or k < 2:
         raise ValueError("s, t, k must all be >= 2")
-    if L < 1:
-        raise ValueError("L must be >= 1")
+    check_L(L)
     desc = kst_pattern(s, t, k)
     notes: list[str] = []
     tried: list[tuple[int, ...]] = []

@@ -39,6 +39,15 @@ def _recursion(L: float) -> Iterator[int]:
         vals.append(1 + vals[m - 2] ** 16 * (m - 1) ** 2 * peak)
 
 
+def check_L(L: float) -> None:
+    """Reject an L that the threshold recursion and condition (ii) cannot
+    take: infinite, NaN, or below 1."""
+    if not math.isfinite(L):
+        raise ValueError("L must be a finite number")
+    if L < 1:
+        raise ValueError("L must be >= 1")
+
+
 def f_value(ell: int, L: float) -> int:
     """Threshold recursion: f(1) = ceil(L),
     f(ell) = 1 + f(ell-1)^16 * (ell-1)^2 * max_i f(i) f(ell-i).
@@ -48,8 +57,7 @@ def f_value(ell: int, L: float) -> int:
     """
     if ell < 1:
         raise ValueError("ell must be >= 1")
-    if L < 1:
-        raise ValueError("L must be >= 1")
+    check_L(L)
     return next(islice(_recursion(L), ell - 1, None))
 
 
@@ -73,8 +81,7 @@ class Thresholds:
         changes, and no level builds a bignum (f(8) at L = 2 has about
         4e8 bits).
         """
-        if L < 1:
-            raise ValueError("L must be >= 1")
+        check_L(L)
         vals = list(takewhile(lambda v: v <= sys.maxsize, _recursion(L)))
 
         def f(ell: int) -> float:

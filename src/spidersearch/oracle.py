@@ -540,7 +540,8 @@ def _template_search(
     All paths of one search node avoid the same set, so distance tables
     are shared per target within the node; a new `b` skips every image
     out of range of `a`'s table, where `_walk_paths` would return before
-    its first tick.  Terminals that no requirement touches take the
+    its first tick.  A requirement of length 1 builds no table: its ends
+    need only be adjacent.  Terminals that no requirement touches take the
     smallest unused vertices at the end.
     """
     size = sum(ln for _, _, ln in tmpl.requirements)
@@ -558,6 +559,14 @@ def _template_search(
     img = dict(pins)
     used = set(pins.values())  # terminal images + path interiors
     paths: dict[int, tuple[int, ...]] = {}
+    # a requirement of length 1 asks only whether two images are adjacent,
+    # which sets answer in constant time whatever the degree; such a
+    # requirement passed the size gate, so the host has a vertex
+    linked = adj
+    if any(ln == 1 for *_, ln in tmpl.requirements) and not isinstance(
+        adj[0], set
+    ):
+        linked = [set(ns) for ns in adj]
 
     def candidates(term: int) -> list[int]:
         xs = pool[term]
@@ -586,7 +595,13 @@ def _template_search(
             if new_a:
                 img[a] = xa
                 used.add(xa)
-            if b in img:
+            if length == 1:  # an edge: adjacency, not a distance table
+                if b in img:
+                    xbs = [img[b]] if xa in linked[img[b]] else []
+                else:
+                    near = linked[xa]
+                    xbs = [x for x in candidates(b) if x in near]
+            elif b in img:
                 xbs = [img[b]] if table(img[b])[xa] <= length else []
             else:
                 near = table(xa)
@@ -771,45 +786,89 @@ def extremal_number(
 ) -> ExtremalResult:
     """Maximum edge count of a pattern-free graph on n vertices.
 
-    Exhaustive for n <= EXHAUSTIVE_N_LIMIT: a depth-first search adds the
-    pairs in lexicographic order, include first, one budget tick per
-    node.  One `_EdgeCheck` follows the search as it adds and removes
-    pairs and admits a pair only while the graph stays pattern-free, and
-    a branch that cannot beat the best set is cut; the witness is the
-    lexicographically first largest pattern-free edge set.
-    Larger n, or budget exhaustion, falls back to the hill-climbing
-    heuristic (exhaustive flag False).
+    Exhaustive for n <= EXHAUSTIVE_N_LIMIT: `_branch_and_bound` settles
+    ex(j, F) for j = 1, 2, ..., n in turn, each search bounded by the
+    values before it.  Being pattern-free is hereditary, so they give
+    three cuts: the pairs left at the current vertex u plus ex(n-u-1, F)
+    for the vertices after it; a vertex whose chosen and undecided pairs
+    leave it too few, as deleting it keeps at most ex(n-1, F) edges; and
+    the averaging ceiling n·ex(n-1, F)/(n-2) (Katona, Nemetz & Simonovits,
+    1964), which ends a search once the best set reaches it.  The values
+    live in this call only.  The witness is the lexicographically first
+    largest pattern-free edge set, as without the cuts, which only drop
+    branches that cannot beat the best set.  `budget` counts the nodes of
+    all n searches.  Larger n, or budget exhaustion in any of them, falls
+    back to the hill-climbing heuristic (exhaustive flag False).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if n <= EXHAUSTIVE_N_LIMIT:
-        pairs = list(combinations(range(n), 2))
-        check = _EdgeCheck(desc).start(Graph(n, frozenset()))
-        chosen = check.edges
         budget = (budget or SearchBudget()).start()
-        best: list[tuple[int, int]] = []
-
-        def search(i: int) -> None:
-            budget.tick()
-            if len(chosen) > len(best):
-                best[:] = chosen
-            if len(chosen) + len(pairs) - i <= len(best):
-                return
-            u, v = pairs[i]
-            if not check.creates(u, v):
-                check.add(u, v)
-                search(i + 1)
-                check.remove(u, v)
-            search(i + 1)
-
+        check = _EdgeCheck(desc)
+        ex = [0]  # ex[j] = ex(j, F), for j below the search in progress
         try:
-            search(0)
+            for j in range(1, n + 1):
+                best = _branch_and_bound(j, check, ex, budget)
+                ex.append(len(best))
             g = Graph(n, frozenset(best))
             return ExtremalResult(n, desc, g.m, g, exhaustive=True)
         except BudgetExhausted:
             pass
     g = hill_climb_free(n, desc, iterations=20 * n * n, seed=0)
     return ExtremalResult(n, desc, g.m, g, exhaustive=False)
+
+
+def _branch_and_bound(
+    n: int, check: _EdgeCheck, ex: list[int], budget: SearchBudget
+) -> list[tuple[int, int]]:
+    """The lexicographically first largest pattern-free edge set on n
+    vertices, given ex[j] = ex(j, F) for every j < n.
+
+    A depth-first search decides the pairs in lexicographic order, include
+    first, one budget tick per node; `check` follows it as it adds and
+    removes pairs and admits a pair only while the graph stays
+    pattern-free.  A set is kept only when it is strictly larger than the
+    best so far, and every cut drops a branch that cannot be.
+    """
+    pairs = list(combinations(range(n), 2))
+    chosen = check.start(Graph(n, frozenset())).edges
+    room = [n - 1] * n  # chosen plus undecided pairs, per vertex
+    # the averaging ceiling; for n < 3 the pair count bounds as tightly
+    ceiling = n * ex[n - 1] // (n - 2) if n >= 3 else len(pairs)
+    best: list[tuple[int, int]] = []
+
+    def search(i: int) -> bool:
+        """Decide pairs i onwards; True once `best` reaches the ceiling."""
+        budget.tick()
+        if len(chosen) > len(best):
+            best[:] = chosen
+            if len(best) >= ceiling:
+                return True
+        if i == len(pairs):
+            return False
+        u, w = pairs[i]
+        # the pairs at u from w on, then a pattern-free graph on u+1..n-1
+        if len(chosen) + n - w + ex[n - u - 1] <= len(best):
+            return False
+        # deleting a vertex leaves at most ex(n-1) edges, so a larger set
+        # has more than len(best) - ex(n-1) pairs at every vertex
+        if min(room) + ex[n - 1] <= len(best):
+            return False
+        if not check.creates(u, w):
+            check.add(u, w)
+            done = search(i + 1)
+            check.remove(u, w)
+            if done:
+                return True
+        room[u] -= 1
+        room[w] -= 1
+        done = search(i + 1)
+        room[u] += 1
+        room[w] += 1
+        return done
+
+    search(0)
+    return best
 
 
 # -- hill climbing -------------------------------------------------------------

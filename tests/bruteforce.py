@@ -18,6 +18,7 @@ from spidersearch.graph import Graph
 from spidersearch.oracle import (
     ExtremalResult,
     SearchBudget,
+    _EdgeCheck,
     _distances_to,
     _requirement_order,
     _walk_paths,
@@ -359,3 +360,33 @@ def reference_extremal(n: int, desc: PatternDescriptor) -> ExtremalResult:
             if contains(g, desc).status == "absent":
                 return ExtremalResult(n, desc, m, g, exhaustive=True)
     raise ValueError("the pattern has no edge")
+
+
+def reference_branch_and_bound(
+    n: int, desc: PatternDescriptor
+) -> ExtremalResult:
+    """The search `extremal_number` ran before the hereditary bounds: the
+    pairs in lexicographic order, include first, one `_EdgeCheck`
+    following the search, and no cut but the count of undecided pairs.
+    Its witness is the lexicographically first largest pattern-free set.
+    """
+    pairs = list(combinations(range(n), 2))
+    check = _EdgeCheck(desc).start(Graph(n, frozenset()))
+    chosen = check.edges
+    best: list[tuple[int, int]] = []
+
+    def search(i: int) -> None:
+        if len(chosen) > len(best):
+            best[:] = chosen
+        if len(chosen) + len(pairs) - i <= len(best):
+            return
+        u, v = pairs[i]
+        if not check.creates(u, v):
+            check.add(u, v)
+            search(i + 1)
+            check.remove(u, v)
+        search(i + 1)
+
+    search(0)
+    g = Graph(n, frozenset(best))
+    return ExtremalResult(n, desc, g.m, g, exhaustive=True)

@@ -141,6 +141,13 @@ class TestClassify:
                            "--threshold", "bogus")
         assert code == 2 and "error" in err
 
+    @pytest.mark.parametrize("L", ["inf", "nan"])
+    def test_non_finite_L_paper_threshold_exit_2(self, capsys, tmp_path, L):
+        path = write_graph(tmp_path, cycle_graph(8))
+        code, out, err = run(capsys, "classify", "--graph", path, "--k", "2",
+                             "--threshold", "paper", "--L", L)
+        assert (code, out, err) == (2, "", "error: L must be a finite number\n")
+
 
 class TestFind:
     def test_found_exit_0(self, capsys, tmp_path):
@@ -213,6 +220,17 @@ class TestFind:
                              "--threshold", "const:1", "--L", "0.5")
         assert code == 2 and out == ""
         assert err == "error: L must be >= 1\n"
+
+    @pytest.mark.parametrize("threshold", ["const:1", "paper"])
+    @pytest.mark.parametrize("L", ["inf", "nan"])
+    def test_non_finite_L_exit_2(self, capsys, tmp_path, threshold, L):
+        # the constructive host reaches refinement, whose condition (ii)
+        # bound cannot be built from an infinite or NaN L
+        path = write_graph(tmp_path, subdivide(complete_bipartite(2, 4), 2))
+        code, out, err = run(capsys, "find", "--graph", path,
+                             "--pattern", "kst:2,2^2",
+                             "--threshold", threshold, "--L", L)
+        assert (code, out, err) == (2, "", "error: L must be a finite number\n")
 
     def test_missing_file_exit_2(self, capsys):
         code, _, _ = run(capsys, "find", "--graph", "/nonexistent",

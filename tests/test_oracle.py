@@ -5,6 +5,7 @@ from itertools import combinations, product
 
 import pytest
 
+from spidersearch import oracle
 from spidersearch.graph import (
     Graph,
     complete_bipartite,
@@ -44,6 +45,7 @@ from spidersearch.patterns import (
 
 from bruteforce import (
     brute_contains,
+    reference_branch_and_bound,
     reference_extremal,
     reference_template_search,
 )
@@ -415,15 +417,28 @@ class TestExtremal:
         desc = parse_pattern(pattern)
         assert extremal_number(n, desc) == reference_extremal(n, desc)
 
-    def test_c4_values_and_polarity_graph(self):
-        # OEIS A006855 for n = 1..7, the whole exhaustive range
-        c4 = parse_pattern("cycle:4")
-        results = [extremal_number(n, c4) for n in range(1, 8)]
+    @pytest.mark.parametrize("n,pattern", [
+        *product(range(1, 7), PATTERNS),
+        (7, "cycle:4"), (7, "cycle:5"), (7, "cycle:6"),
+    ])
+    def test_matches_unbounded_branch_and_bound(self, n, pattern):
+        # the hereditary cuts drop only branches that cannot beat the best
+        # set, so value, witness and flag are those of the uncut search
+        desc = parse_pattern(pattern)
+        assert extremal_number(n, desc) == reference_branch_and_bound(n, desc)
+
+    def test_c4_values_and_polarity_graph(self, monkeypatch):
+        # OEIS A006855 for n = 1..8: the whole exhaustive range, and one
+        # past it with the limit raised for this test alone
         assert EXHAUSTIVE_N_LIMIT == 7
+        monkeypatch.setattr(oracle, "EXHAUSTIVE_N_LIMIT", 8)
+        c4 = parse_pattern("cycle:4")
+        results = [extremal_number(n, c4) for n in range(1, 9)]
         assert all(r.exhaustive for r in results)
-        assert [r.value for r in results] == [0, 1, 3, 4, 6, 7, 9]
+        assert [r.value for r in results] == [0, 1, 3, 4, 6, 7, 9, 11]
+        assert is_pattern_free(results[-1].witness_graph, c4)
         # ER_2 is a C4-free graph on 7 vertices with ex(7, C4) edges
-        assert polarity_graph(2).m == results[-1].value
+        assert polarity_graph(2).m == results[6].value
 
     @pytest.mark.parametrize("q,edges", [(2, 9), (3, 24), (5, 90), (7, 224)])
     def test_polarity_graph_is_c4_free(self, q, edges):
@@ -432,15 +447,30 @@ class TestExtremal:
         assert contains(g, parse_pattern("cycle:4")).status == "absent"
 
     @pytest.mark.parametrize("pattern,nodes", [
-        ("cycle:4", 7725), ("cycle:5", 4465), ("cycle:6", 1635),
-        ("kst:2,3", 3178),
+        ("cycle:4", 4192), ("cycle:5", 1538), ("cycle:6", 1660),
+        ("kst:2,3", 291),
     ])
     def test_frozen_node_counts(self, pattern, nodes):
         # what --node-limit counts: one tick per node of the search, which
-        # moves only when the search order or its cuts do
+        # moves only when the search order or its cuts do; the counts
+        # include the sub-searches for ex(j) with j = 1..5
         budget = SearchBudget()
         res = extremal_number(6, parse_pattern(pattern), budget)
         assert res.exhaustive and budget.nodes == nodes
+
+    @pytest.mark.parametrize("pattern", ["cycle:4", "kst:2,3"])
+    def test_node_limit_inside_sub_searches_falls_back(self, pattern):
+        # the sub-searches for ex(j), j < 6, are the whole search for n = 5,
+        # so half its count runs out before the search for n = 6 starts
+        desc = parse_pattern(pattern)
+        sub = SearchBudget()
+        extremal_number(5, desc, sub)
+        budget = SearchBudget(sub.nodes // 2)
+        res = extremal_number(6, desc, budget)
+        assert budget.nodes == sub.nodes // 2 + 1
+        assert not res.exhaustive
+        assert res.value == res.witness_graph.m
+        assert is_pattern_free(res.witness_graph, desc)
 
     def test_small_node_limit_falls_back(self):
         desc = parse_pattern("cycle:4")
