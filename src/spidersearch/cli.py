@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from collections import Counter
 from functools import cache
@@ -226,6 +227,8 @@ def _level_counts(lvl: Level, objects: int) -> dict:
 
 def _cmd_classify(args) -> int:
     g = _load_graph(args.graph)
+    if not math.isfinite(args.L):  # params print L, and JSON has no inf/NaN
+        raise ValueError("L must be a finite number")
     thr = Thresholds.parse(args.threshold, args.L)
     paths = classify_paths(g, args.k, thr)
     payload: dict = {"paths": {str(ell): _level_counts(lvl, lvl.total)

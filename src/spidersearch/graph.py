@@ -33,6 +33,8 @@ class Graph:
     )
 
     def __post_init__(self) -> None:
+        if self.n < 0:
+            raise ValueError("n must be nonnegative")
         for u, v in self.edges:
             if u == v:
                 raise ValueError(f"loop at vertex {u}")
@@ -188,6 +190,8 @@ def complete_bipartite(s: int, t: int) -> Graph:
 
 def random_gnm(n: int, m: int, seed: int) -> Graph:
     """Uniform random graph with n vertices and exactly m edges."""
+    if n < 0 or m < 0:
+        raise ValueError("n and m must be nonnegative")
     total = n * (n - 1) // 2
     if m > total:
         raise ValueError(f"m={m} exceeds maximum {total} for n={n}")

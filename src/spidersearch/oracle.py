@@ -12,7 +12,7 @@ import json
 import random
 from bisect import bisect_right
 from collections import Counter
-from collections.abc import Collection, Sequence
+from collections.abc import Callable, Collection, Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
@@ -89,6 +89,13 @@ class Witness:
 
 def embedding_error(G: Graph, w: Witness) -> str | None:
     """None if the witness is a valid embedding, else the first defect."""
+    return _embedding_error(w, G.n, G.has_edge)
+
+
+def _embedding_error(
+    w: Witness, n: int, linked: Callable[[int, int], bool]
+) -> str | None:
+    """`embedding_error` on the host 0..n-1 whose edges `linked` tells."""
     tmpl = compile_template(w.pattern)
     if len(w.terminals) != tmpl.num_terminals:
         return (
@@ -96,7 +103,7 @@ def embedding_error(G: Graph, w: Witness) -> str | None:
         )
     if len(set(w.terminals)) != len(w.terminals):
         return "terminal images are not distinct"
-    if any(not (0 <= v < G.n) for v in w.terminals):
+    if any(not (0 <= v < n) for v in w.terminals):
         return "terminal image out of range"
     if len(w.paths) != len(tmpl.requirements):
         return (
@@ -114,7 +121,7 @@ def embedding_error(G: Graph, w: Witness) -> str | None:
         if len(set(path)) != len(path):
             return f"path {idx}: repeated vertex"
         for x, y in zip(path, path[1:]):
-            if not G.has_edge(x, y):
+            if not linked(x, y):
                 return f"path {idx}: missing edge ({x},{y})"
         interior = set(path[1:-1])
         if interior & term_set:
@@ -127,6 +134,13 @@ def embedding_error(G: Graph, w: Witness) -> str | None:
 
 def verify_embedding(G: Graph, w: Witness) -> bool:
     return embedding_error(G, w) is None
+
+
+def _witness(desc: PatternDescriptor, tmpl: Template, img: dict[int, int],
+             paths: Sequence | dict[int, tuple[int, ...]]) -> Witness:
+    """The witness of terminal images and host paths in template order."""
+    return Witness(desc, tuple(img[t] for t in range(tmpl.num_terminals)),
+                   tuple(paths[i] for i in range(len(tmpl.requirements))))
 
 
 # -- exact-length simple paths ----------------------------------------------
@@ -213,40 +227,16 @@ def _walk_paths(
             on_path.discard(path.pop())
 
 
-def _adj_sets(G: Graph) -> list[set[int]]:
-    return [set(G.neighbors(v)) for v in G.vertices()]
-
-
-def find_cycle(
-    G: Graph, length: int, budget: SearchBudget | None = None
-) -> tuple[int, ...] | None:
-    """A simple cycle with exactly `length` edges, or None (exhaustive).
-
-    Scans edges in ascending order; after an edge is processed it is deleted,
-    so every cycle is searched exactly once, at its smallest edge.
-    """
-    if length < 3:
-        raise ValueError("cycle length must be >= 3")
-    adj = _adj_sets(G)
-    for u, v in G.sorted_edges():
-        adj[u].discard(v)
-        adj[v].discard(u)
-        dist = _distances_to(adj, v, length - 1, _NO_VERTICES)
-        p = next(_walk_paths(adj, u, v, length - 1, dist, budget), None)
-        if p is not None:
-            return p
-    return None
-
-
 class _EdgeCheck:
     """Does adding the non-edge (u, v) to a pattern-free graph create the
-    pattern?  One instance follows one graph as `add` and `remove` change
-    it.  The answer is meant for pattern-free graphs: on a graph that
-    already contains the pattern, it asks for a new copy through (u, v).
+    pattern?  One instance follows one graph, kept as neighbour sets, as
+    `add` and `remove` change it.  On a graph that already contains the
+    pattern, it asks for a new copy through (u, v).
 
-    A cycle of length M appears iff an (M-1)-edge path joins u and v.  The
-    BFS distance tables of that search, one per target vertex, are shared
-    between queries and dropped when an added or removed edge changes them.
+    A cycle of length M appears iff `path` finds an (M-1)-edge u-v path;
+    `contains` finds cycles by the same walk.  Its BFS distance tables, one
+    per target vertex, are shared between queries and dropped when an
+    added or removed edge changes them.
 
     For other patterns every new copy uses the edge (u, v), so the check
     maps (u, v) onto one pattern edge per anchor (see `_anchors`), in both
@@ -264,22 +254,27 @@ class _EdgeCheck:
 
     def start(self, G: Graph) -> "_EdgeCheck":
         """Follow G from here on, forgetting any earlier graph."""
-        self.n = G.n
-        self.edges = set(G.edges)
-        self.adj = _adj_sets(G)
+        self.adj = [set(G.neighbors(v)) for v in G.vertices()]
         self.tables: dict[int, list[int]] = {}
         return self
 
     def creates(self, u: int, v: int) -> bool:
         if self.M is None:
             return self._creates_anchored(u, v)
-        tables, length = self.tables, self.M - 1
         # search towards an endpoint that already has a table
-        a, b = (v, u) if u in tables and v not in tables else (u, v)
-        if b not in tables:
-            tables[b] = _distances_to(self.adj, b, length, _NO_VERTICES)
-        path = next(_walk_paths(self.adj, a, b, length, tables[b]), None)
-        return path is not None
+        if u in self.tables and v not in self.tables:
+            u, v = v, u
+        return self.path(u, v) is not None
+
+    def path(
+        self, u: int, v: int, budget: SearchBudget | None = None
+    ) -> tuple[int, ...] | None:
+        """The first u-v path with M-1 edges in `_walk_paths` order, or
+        None, pruned by the distance table to v."""
+        adj, tables, length = self.adj, self.tables, self.M - 1
+        if v not in tables:
+            tables[v] = _distances_to(adj, v, length, _NO_VERTICES)
+        return next(_walk_paths(adj, u, v, length, tables[v], budget), None)
 
     def _creates_anchored(self, u: int, v: int) -> bool:
         # the pins are in use, so no other path of the copy can take the
@@ -294,12 +289,8 @@ class _EdgeCheck:
         return False
 
     def _verify(
-        self,
-        u: int,
-        v: int,
-        anchor: tuple[Template, int, int, int],
-        img: dict[int, int],
-        paths: dict[int, tuple[int, ...]],
+        self, u: int, v: int, anchor: tuple[Template, int, int, int],
+        img: dict[int, int], paths: dict[int, tuple[int, ...]],
     ) -> None:
         """Splice an embedding of the anchored template into a witness of
         the pattern and verify it on the graph plus (u, v)."""
@@ -308,18 +299,15 @@ class _EdgeCheck:
         rest = [paths[i] for i in range(len(self.tmpl.requirements) - 1)]
         head = paths[len(rest)] if x != a else (img[a],)
         tail = paths[len(anchored.requirements) - 1] if y != b else (img[b],)
-        w = Witness(
-            pattern=self.desc,
-            terminals=tuple(img[t] for t in range(self.tmpl.num_terminals)),
-            paths=(*rest[:r], head + tail, *rest[r:]),
-            route="oracle",
-        )
-        e = (min(u, v), max(u, v))
-        if not verify_embedding(Graph(self.n, frozenset(self.edges | {e})), w):
+        w = _witness(self.desc, self.tmpl, img,
+                     [*rest[:r], head + tail, *rest[r:]])
+        adj, e = self.adj, {u, v}
+        if _embedding_error(
+            w, len(adj), lambda p, q: q in adj[p] or {p, q} == e
+        ) is not None:
             raise RuntimeError("anchored witness failed verification")
 
     def add(self, u: int, v: int) -> None:
-        self.edges.add((min(u, v), max(u, v)))
         self.adj[u].add(v)
         self.adj[v].add(u)
         # the edge shortens no distance in a table where its ends lie at
@@ -329,7 +317,6 @@ class _EdgeCheck:
         }
 
     def remove(self, u: int, v: int) -> None:
-        self.edges.discard((min(u, v), max(u, v)))
         self.adj[u].discard(v)
         self.adj[v].discard(u)
         # an edge whose ends lie on one level is on no shortest path to the
@@ -424,17 +411,22 @@ class ContainmentResult:
 
 
 def _cycle_embedding(
-    G: Graph, desc: PatternDescriptor, tmpl: Template, M: int,
+    G: Graph, desc: PatternDescriptor, tmpl: Template,
     budget: SearchBudget | None,
-) -> tuple[dict[int, int], dict[int, tuple[int, ...]]] | None:
-    """`find_cycle`'s M-cycle laid onto the cycle-shaped pattern, as
-    terminal images and one host path per requirement, or None."""
-    cyc = find_cycle(G, M, budget)
-    if cyc is None:
-        return None
-    vmap = dict(zip(cycle_order(instantiate(desc)), cyc))
-    chains = requirement_chains(tmpl)
-    return vmap, {i: tuple(vmap[x] for x in c) for i, c in enumerate(chains)}
+) -> tuple[dict[int, int], list[tuple[int, ...]]] | None:
+    """The first cycle of the pattern's length in G as terminal images and
+    host paths, or None (exhaustive).  The check follows G as its edges
+    are deleted in ascending order and walks from u to v after deleting
+    (u, v), so every cycle is searched once, at its smallest edge."""
+    check = _EdgeCheck(desc).start(G)
+    for u, v in G.sorted_edges():
+        check.remove(u, v)
+        cyc = check.path(u, v, budget)
+        if cyc is not None:
+            vmap = dict(zip(cycle_order(instantiate(desc)), cyc))
+            return vmap, [tuple(vmap[x] for x in c)
+                          for c in requirement_chains(tmpl)]
+    return None
 
 
 def _requirement_order(
@@ -649,12 +641,13 @@ def contains(
     """Backtracking containment: branch-vertex assignment plus internally
     disjoint path routing.  'absent' means the search space was exhausted.
 
-    Cycle-shaped patterns take `find_cycle`, other patterns
-    `_template_search`, which answers 'absent' at once (0 nodes) when the
-    pattern graph has more vertices or edges than G; its twin ordering
-    returns the same witness as the unordered search in at most as many
-    nodes: a `--node-limit` that sufficed before still does, and some that
-    ran out before now finish.  Either route's embedding is verified.
+    Cycle-shaped patterns take the edge check's path walk
+    (`_cycle_embedding`), other patterns `_template_search`, which answers
+    'absent' at once (0 nodes) when the pattern graph has more vertices or
+    edges than G; its twin ordering returns the same witness as the
+    unordered search in at most as many nodes: a `--node-limit` that
+    sufficed before still does, and some that ran out before now finish.
+    Either route's embedding is verified.
     """
     if budget is not None:
         budget.start()
@@ -662,7 +655,7 @@ def contains(
     M = as_cycle_length(desc)
     try:
         if M is not None:
-            sol = _cycle_embedding(G, desc, tmpl, M, budget)
+            sol = _cycle_embedding(G, desc, tmpl, budget)
         else:
             adj = [G.neighbors(v) for v in G.vertices()]  # ascending
             sol = _template_search(adj, tmpl, budget)
@@ -671,13 +664,7 @@ def contains(
     nodes = budget.nodes if budget else 0
     if sol is None:
         return ContainmentResult("absent", nodes=nodes)
-    img, paths = sol
-    w = Witness(
-        pattern=desc,
-        terminals=tuple(img[i] for i in range(tmpl.num_terminals)),
-        paths=tuple(paths[i] for i in range(len(tmpl.requirements))),
-        route="oracle",
-    )
+    w = _witness(desc, tmpl, *sol)
     if not verify_embedding(G, w):
         route = "cycle" if M is not None else "search"
         raise RuntimeError(f"{route} witness failed verification")
@@ -728,7 +715,7 @@ def canonical_form(G: Graph) -> tuple[int, frozenset[tuple[int, int]]]:
     tried (N(u) - {v} = N(v) - {u}) is skipped: swapping the two is an
     automorphism fixing the partition, so its subtree gives the same leaves.
     """
-    adj = _adj_sets(G)
+    adj = [set(G.neighbors(v)) for v in G.vertices()]
     edges = G.sorted_edges()
     best: list[tuple[int, int]] | None = None
 
@@ -831,7 +818,8 @@ def _branch_and_bound(
     best so far, and every cut drops a branch that cannot be.
     """
     pairs = list(combinations(range(n), 2))
-    chosen = check.start(Graph(n, frozenset())).edges
+    check.start(Graph(n, frozenset()))
+    chosen: list[tuple[int, int]] = []  # the included pairs, a stack
     room = [n - 1] * n  # chosen plus undecided pairs, per vertex
     # the averaging ceiling; for n < 3 the pair count bounds as tightly
     ceiling = n * ex[n - 1] // (n - 2) if n >= 3 else len(pairs)
@@ -856,7 +844,9 @@ def _branch_and_bound(
             return False
         if not check.creates(u, w):
             check.add(u, w)
+            chosen.append((u, w))
             done = search(i + 1)
+            chosen.pop()
             check.remove(u, w)
             if done:
                 return True
@@ -896,6 +886,7 @@ def hill_climb_free(
     tests = 0
     while best is None or tests < iterations:
         check.start(Graph(n, frozenset()))
+        kept = []
         candidates = list(combinations(range(n), 2))
         while candidates:
             i = rng.randrange(len(candidates))
@@ -904,7 +895,8 @@ def hill_climb_free(
             tests += 1
             if not check.creates(u, v):
                 check.add(u, v)
-        g = Graph(n, frozenset(check.edges))
+                kept.append((u, v))
+        g = Graph(n, frozenset(kept))
         if best is None or g.m > best.m:
             best = g
     return best

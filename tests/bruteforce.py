@@ -372,7 +372,7 @@ def reference_branch_and_bound(
     """
     pairs = list(combinations(range(n), 2))
     check = _EdgeCheck(desc).start(Graph(n, frozenset()))
-    chosen = check.edges
+    chosen: list[tuple[int, int]] = []
     best: list[tuple[int, int]] = []
 
     def search(i: int) -> None:
@@ -383,10 +383,35 @@ def reference_branch_and_bound(
         u, v = pairs[i]
         if not check.creates(u, v):
             check.add(u, v)
+            chosen.append((u, v))
             search(i + 1)
+            chosen.pop()
             check.remove(u, v)
         search(i + 1)
 
     search(0)
     g = Graph(n, frozenset(best))
     return ExtremalResult(n, desc, g.m, g, exhaustive=True)
+
+
+def reference_find_cycle(
+    G: Graph, length: int, budget: SearchBudget | None = None
+) -> tuple[int, ...] | None:
+    """The cycle search `contains` ran before it went through `_EdgeCheck`:
+    its own neighbour sets, a fresh distance table after every deletion.
+    A simple cycle with exactly `length` edges, or None (exhaustive).
+
+    Scans edges in ascending order; after an edge is processed it is deleted,
+    so every cycle is searched exactly once, at its smallest edge.
+    """
+    if length < 3:
+        raise ValueError("cycle length must be >= 3")
+    adj = [set(G.neighbors(v)) for v in G.vertices()]
+    for u, v in G.sorted_edges():
+        adj[u].discard(v)
+        adj[v].discard(u)
+        dist = _distances_to(adj, v, length - 1, set())
+        p = next(_walk_paths(adj, u, v, length - 1, dist, budget), None)
+        if p is not None:
+            return p
+    return None

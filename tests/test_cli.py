@@ -60,6 +60,14 @@ class TestGen:
         code, _, err = run(capsys, "gen", "--kind", "random")
         assert code == 2 and "error" in err
 
+    @pytest.mark.parametrize("n,m", [("-3", "0"), ("-3", "1"), ("5", "-1")])
+    def test_negative_n_or_m_exit_2(self, capsys, n, m):
+        # a header with a negative count is one that --graph rejects
+        code, out, err = run(capsys, "gen", "--kind", "random",
+                             "--n", n, "--m", m)
+        assert (code, out) == (2, "")
+        assert err == "error: n and m must be nonnegative\n"
+
 
 class TestRegularize:
     def test_c8_report(self, capsys, tmp_path):
@@ -141,11 +149,16 @@ class TestClassify:
                            "--threshold", "bogus")
         assert code == 2 and "error" in err
 
+    @pytest.mark.parametrize("threshold", ["paper", "const:1", "custom:1,1"])
     @pytest.mark.parametrize("L", ["inf", "nan"])
-    def test_non_finite_L_paper_threshold_exit_2(self, capsys, tmp_path, L):
+    def test_non_finite_L_paper_threshold_exit_2(
+        self, capsys, tmp_path, L, threshold
+    ):
+        # L is printed under params, and JSON has no inf or NaN, so a
+        # non-finite L is refused under thresholds that never read it too
         path = write_graph(tmp_path, cycle_graph(8))
         code, out, err = run(capsys, "classify", "--graph", path, "--k", "2",
-                             "--threshold", "paper", "--L", L)
+                             "--threshold", threshold, "--L", L)
         assert (code, out, err) == (2, "", "error: L must be a finite number\n")
 
 

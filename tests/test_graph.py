@@ -35,6 +35,10 @@ class TestLoad:
         assert g.n == 3 and g.m == 2
         assert g.degrees() == [1, 2, 1]
 
+    def test_negative_n_rejected(self):
+        with pytest.raises(ValueError, match="n must be nonnegative"):
+            Graph(-1, frozenset())
+
     def test_loop_rejected(self):
         with pytest.raises(GraphParseError, match="line 2"):
             Graph.load("2 1\n0 0")
@@ -96,6 +100,11 @@ class TestGenerators:
     def test_random_m_too_large(self):
         with pytest.raises(ValueError):
             random_gnm(4, 7, seed=0)
+
+    @pytest.mark.parametrize("n,m", [(-3, 0), (-3, 1), (5, -1)])
+    def test_random_negative_n_or_m(self, n, m):
+        with pytest.raises(ValueError, match="n and m must be nonnegative"):
+            random_gnm(n, m, seed=0)
 
 
 class TestSubdivide:

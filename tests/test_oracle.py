@@ -31,22 +31,25 @@ from spidersearch.oracle import (
     contains,
     embedding_error,
     extremal_number,
-    find_cycle,
     first_addable_edge,
     hill_climb_free,
     is_pattern_free,
     verify_embedding,
 )
 from spidersearch.patterns import (
+    as_cycle_length,
     compile_template,
+    cycle_order,
     instantiate,
     parse_pattern,
+    requirement_chains,
 )
 
 from bruteforce import (
     brute_contains,
     reference_branch_and_bound,
     reference_extremal,
+    reference_find_cycle,
     reference_template_search,
 )
 from conftest import random_small_graphs
@@ -211,7 +214,7 @@ class TestContains:
 class TestTemplateSearchReference:
     """The twin-ordered search against the unpruned one it replaced
     (`bruteforce.reference_template_search`).  spider:1,2*2 is a 6-cycle,
-    so `contains` routes it to `find_cycle`; the template search is called
+    so `contains` routes it to the cycle route; the template search is called
     directly to cover a pattern whose roots are not twins.
     """
 
@@ -265,12 +268,63 @@ class TestTemplateSearchReference:
         assert unlocked > 0
 
 
-class TestFindCycle:
+class TestCycleRoute:
+    """`contains` finds a cycle-shaped pattern by the edge check's path walk
+    (`_EdgeCheck.path`); `bruteforce.reference_find_cycle` is the separate
+    cycle search it replaced.
+    """
+
+    PATTERNS = (
+        "cycle:3", "cycle:4", "cycle:5", "cycle:6", "cycle:7", "cycle:8",
+        "kst:2,2^2", "spider:1,2*2", "cycle:3^2",
+    )
+
     def test_exhaustive(self):
-        assert find_cycle(cycle_graph(8), 8) is not None
-        assert find_cycle(cycle_graph(8), 7) is None
-        assert find_cycle(PETERSEN, 7) is None  # girth-5 graph with no C7
-        assert find_cycle(PETERSEN, 5) is not None
+        def status(g, length):
+            return contains(g, parse_pattern(f"cycle:{length}")).status
+
+        assert status(cycle_graph(8), 8) == "found"
+        assert status(cycle_graph(8), 7) == "absent"
+        assert status(PETERSEN, 7) == "absent"  # girth-5 graph with no C7
+        assert status(PETERSEN, 5) == "found"
+
+    @staticmethod
+    def reference(g, desc, node_limit):
+        """(status, nodes, witness) as `contains` reported them when the
+        old cycle search's cycle was laid onto the pattern."""
+        budget = SearchBudget(node_limit)
+        try:
+            cyc = reference_find_cycle(g, as_cycle_length(desc), budget)
+        except BudgetExhausted:
+            return "budget", budget.nodes, None
+        if cyc is None:
+            return "absent", budget.nodes, None
+        tmpl = compile_template(desc)
+        vmap = dict(zip(cycle_order(instantiate(desc)), cyc))
+        return "found", budget.nodes, Witness(
+            desc,
+            tuple(vmap[t] for t in range(tmpl.num_terminals)),
+            tuple(tuple(vmap[x] for x in c) for c in requirement_chains(tmpl)),
+        )
+
+    def test_matches_reference_find_cycle(self):
+        # same search order, so the same status, node count and witness,
+        # with and without a node limit small enough to run out
+        rng = random.Random(15)
+        statuses = set()
+        for _ in range(60):
+            n = rng.randint(5, 14)
+            m = rng.randint(n, min(3 * n, n * (n - 1) // 2))
+            g = random_gnm(n, m, rng.randrange(2**30))
+            for text in self.PATTERNS:
+                desc = parse_pattern(text)
+                for limit in (None, 40):
+                    res = contains(g, desc, SearchBudget(limit))
+                    want = self.reference(g, desc, limit)
+                    assert (res.status, res.nodes, res.witness) == want, (
+                        g, text, limit)
+                    statuses.add(want[0])
+        assert statuses == {"found", "absent", "budget"}
 
 
 class TestIsomorphism:
@@ -586,7 +640,7 @@ class TestEdgeCheck:
                 if not want:
                     check.add(u, v)
                     g = Graph(n, g.edges | {e})
-            assert check.edges == g.edges
+            assert check.adj == [set(g.neighbors(v)) for v in g.vertices()]
 
     @pytest.mark.parametrize("pattern,anchors", [
         ("arbitrary:6:0-1;1-2;2-3;3-4;1-5;2-5", 6),  # no two twins
@@ -636,15 +690,19 @@ class TestEdgeCheck:
         # table the check keeps must equal a fresh one (a table a removal
         # lengthened still bounds from below, so answers alone miss it)
         desc = parse_pattern(pattern)
+
+        def assert_tables_fresh():
+            for t, dist in check.tables.items():
+                fresh = _distances_to(check.adj, t, check.M - 1, set())
+                assert dist == fresh, (pattern, seed, g, t)
+
         for seed in range(4):
             rng = random.Random(seed)
             n = rng.randint(7, 11)
             g = Graph(n, frozenset())
             check = _EdgeCheck(desc).start(g)
             for _ in range(120):
-                for t, dist in check.tables.items():
-                    fresh = _distances_to(check.adj, t, check.M - 1, set())
-                    assert dist == fresh, (pattern, seed, g, t)
+                assert_tables_fresh()
                 free = [p for p in combinations(range(n), 2)
                         if p not in g.edges]
                 if not free or (g.edges and rng.random() < 0.3):
@@ -659,7 +717,16 @@ class TestEdgeCheck:
                 if not want:
                     check.add(u, v)
                     g = Graph(n, g.edges | {e})
-            assert check.edges == g.edges
+            assert check.adj == [set(g.neighbors(v)) for v in g.vertices()]
+            # then the order `contains` uses: the edges removed in
+            # ascending order, each followed by a walk from u to v
+            for u, v in g.sorted_edges():
+                check.remove(u, v)
+                g = Graph(n, g.edges - {(u, v)})
+                assert_tables_fresh()
+                if check.M is not None:
+                    check.path(u, v)
+            assert check.adj == [set() for _ in range(n)]
 
 
 class TestFirstAddableEdge:
