@@ -24,6 +24,7 @@ from .finder import find_kstk
 from .goodness import (
     Level,
     Thresholds,
+    check_L,
     classify_paths,
     classify_spiders,
     not_good_ratio,
@@ -262,6 +263,7 @@ def _cmd_classify(args) -> int:
 def _cmd_find(args) -> int:
     g = _load_graph(args.graph)
     desc = parse_pattern(args.pattern)
+    check_L(args.L)  # on every route, not only where refinement reads it
     thr = Thresholds.parse(args.threshold, args.L)
     budget = _budget(args)
     if desc.kind == "kst" and desc.s >= 2 and desc.t >= 2 and desc.subdivision >= 2:

@@ -147,6 +147,7 @@ def _witness(desc: PatternDescriptor, tmpl: Template, img: dict[int, int],
 
 
 _NO_VERTICES: frozenset[int] = frozenset()
+_GONE = object()  # the old value of a key that a search trail entry added
 
 # a process meets few templates, each with one plan per anchor plus the
 # unpinned one; the bound keeps a process meeting many from growing
@@ -514,51 +515,150 @@ def _template_search(
     """The first embedding of the template in the host with adjacency
     `adj`, one neighbour collection per vertex, in search order, or None.
     Paths follow the order in which `adj` lists neighbours.  `pins` maps
-    terminals to fixed images.  A template with more edges or more
-    vertices than the host is absent before the first budget tick.
+    terminals to fixed images.
+
+    Size gate: every pattern vertex but the pinned ones needs a host vertex
+    of its own whose degree reaches the smallest pattern degree among them,
+    and each pin's degree must reach its terminal's.  A template that fails
+    this, or has more edges than the host, is absent before the first
+    budget tick.  With pins, the host and the template miss one edge of
+    the pattern at the pins (see `_EdgeCheck`), so the gate reads the
+    degrees of the host plus that edge.
 
     Requirements are routed in `_requirement_order`; a requirement with a
-    new end tries its images in ascending vertex order, then every exact
-    path in `_walk_paths` order.  Terminals enter in that order, `a`
-    before `b`, and within each twin class (see `_twin_predecessors`) a
-    terminal's image must exceed the image of the twin that entered just
-    before it.  Candidates ascend, so the mirror of an embedding that
-    breaks this order lies in an earlier, exhaustively searched sibling
-    branch: the first embedding found is the one the unordered search
-    finds, with at most as many budget ticks, and up to s!·t! times fewer
-    for K_{s,t}^k.  Pinned terminals never enter, and a swap of two
-    unpinned twins fixes the pins, so the same holds with pins.
+    new end tries its images in ascending vertex order.  Terminals enter in
+    that order, `a` before `b`, and within each twin class (see
+    `_twin_predecessors`) a terminal's image must exceed the image of the
+    twin that entered just before it.  Candidates ascend, so the mirror of
+    an embedding that breaks this order lies in an earlier, exhaustively
+    searched sibling branch, and a swap of two unpinned twins fixes the
+    pins.  Up to s!·t! times fewer nodes for K_{s,t}^k.
 
-    All paths of one search node avoid the same set, so distance tables
-    are shared per target within the node; a new `b` skips every image
-    out of range of `a`'s table, where `_walk_paths` would return before
-    its first tick.  A requirement of length 1 builds no table: its ends
-    need only be adjacent.  Terminals that no requirement touches take the
-    smallest unused vertices at the end.
+    A requirement of length 1 asks only whether its ends are adjacent.
+    One of length 3 or more tries every exact path in `_walk_paths` order;
+    all paths of one search node avoid the same set, so distance tables
+    are shared per target within the node, and a new `b` skips every image
+    out of range of `a`'s table.  A requirement of length 2 builds no
+    table and is deferred: its middle is a common neighbour of its ends
+    that no terminal image or longer path uses, and the middles must be
+    distinct, which is a bipartite matching (the all-different filter of
+    Régin, 1994).  The deferred requirements keep one matching, grown by
+    an augmenting path (`augment`) per requirement; a vertex that a new
+    terminal or a longer path takes from it sends its requirement down
+    another one.  When either finds none, no embedding extends the branch.
+    A new `b` needs a neighbour of `a`'s image that no terminal image or
+    longer path uses, and the leaf reads the middles off the matching.
+
+    Without length-2 requirements the first embedding is the unordered
+    search's, in at most as many budget ticks.  With them, the images and
+    longer paths are tried in the same order, but the witness can take
+    other middles, and the tick count is bounded by no case-by-case rule.
+
+    The search is a loop over an explicit stack of one branch generator
+    per routed requirement (`branches`), so the requirement count is not
+    bounded by the recursion limit; every change to the images, the used
+    vertices, the paths and the matching is undone from one trail.  One budget tick per
+    search node and per `_walk_paths` node.  Terminals that no requirement
+    touches take the smallest unused vertices at the end.
     """
-    size = sum(ln for _, _, ln in tmpl.requirements)
-    if 2 * size > sum(map(len, adj)) or (  # degrees sum to twice the edges
-        tmpl.num_terminals + size - len(tmpl.requirements) > len(adj)
-    ):
-        return None
+    reqs = tmpl.requirements
     pins = pins or {}
     incident, order, entry, after = _search_plan(tmpl, frozenset(pins))
+    size = sum(ln for _, _, ln in reqs)
+    # the pattern degrees of the unpinned terminals, then of path interiors
+    degrees = [
+        incident.get(t, 0) for t in range(tmpl.num_terminals) if t not in pins
+    ] + [2] * (size - len(reqs))
+    low = min(degrees, default=0)
+    room = sum(len(ns) >= low for ns in adj)
+    room -= sum(len(adj[x]) >= low for x in pins.values())  # taken by pins
+    if (
+        2 * size > sum(map(len, adj))  # degrees sum to twice the edges
+        or len(degrees) > room
+        or any(len(adj[x]) < incident.get(t, 0) for t, x in pins.items())
+    ):
+        return None
     pool = {
         t: [x for x in range(len(adj)) if len(adj[x]) >= incident[t]]
         for t in entry
     }
-
-    img = dict(pins)
-    used = set(pins.values())  # terminal images + path interiors
-    paths: dict[int, tuple[int, ...]] = {}
-    # a requirement of length 1 asks only whether two images are adjacent,
+    # requirements of length 1 and 2 ask whether two vertices are adjacent,
     # which sets answer in constant time whatever the degree; such a
     # requirement passed the size gate, so the host has a vertex
     linked = adj
-    if any(ln == 1 for *_, ln in tmpl.requirements) and not isinstance(
-        adj[0], set
-    ):
+    if any(ln <= 2 for *_, ln in reqs) and not isinstance(adj[0], set):
         linked = [set(ns) for ns in adj]
+
+    img = dict(pins)
+    # terminal images and the interiors of paths longer than 2; the middles
+    # of length-2 paths are in `owner` instead
+    used = dict.fromkeys(pins.values(), True)
+    paths: dict[int, tuple[int, ...]] = {}
+    mate: dict[int, int | None] = {}  # deferred requirement -> its middle
+    owner: dict[int, int | None] = {}  # middle -> its deferred requirement
+    trail: list[tuple[dict, int, object]] = []  # (dict, key, old value)
+
+    def put(d: dict, k: int, v: object) -> None:
+        trail.append((d, k, d.get(k, _GONE)))
+        d[k] = v
+
+    def undo(mark: int) -> None:
+        while len(trail) > mark:
+            d, k, old = trail.pop()
+            if old is _GONE:
+                del d[k]
+            else:
+                d[k] = old
+
+    def augment(r: int) -> bool:
+        """Match the unmatched requirement r along an augmenting path
+        (Kuhn), depth first on an explicit stack; False if there is none.
+        A requirement takes a free middle when it has one and otherwise
+        tries to move the holders of its middles, in the order `adj` lists
+        them.
+        """
+        seen: set[int] = set()
+        stack = []  # (requirement, its middles not yet tried)
+        q = r
+        while True:
+            a, b, _ = reqs[q]
+            near = linked[img[b]]
+            held = []
+            for m in adj[img[a]]:
+                if m in near and m not in used:
+                    if owner.get(m) is None:  # shift the path's middles
+                        while True:
+                            old = mate.get(q)
+                            put(mate, q, m)
+                            put(owner, m, q)
+                            if not stack:
+                                return True
+                            q, m = stack.pop()[0], old
+                    held.append(m)
+            stack.append((q, iter(held)))
+            while stack:
+                m = next((m for m in stack[-1][1] if m not in seen), None)
+                if m is not None:
+                    seen.add(m)
+                    q = owner[m]
+                    break
+                stack.pop()
+            else:
+                return False
+
+    def take(x: int) -> bool:
+        """Put x in use, re-matching the requirement whose middle it was."""
+        put(used, x, True)
+        r = owner.get(x)
+        if r is None:
+            return True
+        put(owner, x, None)
+        put(mate, r, None)
+        return augment(r)
+
+    def shared(x: int) -> set[int]:
+        """The vertices that share with x a neighbour outside `used`."""
+        return {y for m in adj[x] if m not in used for y in adj[m]}
 
     def candidates(term: int) -> list[int]:
         xs = pool[term]
@@ -566,69 +666,90 @@ def _template_search(
             xs = xs[bisect_right(xs, img[after[term]]):]
         return [x for x in xs if x not in used]
 
-    def place(pos: int) -> bool:
+    def branches(pos: int):
+        """Route requirement order[pos] each way in turn: apply the route,
+        yield True, and undo it on resuming."""
+        ridx = order[pos]
+        a, b, length = reqs[ridx]
+        new_a, new_b = a not in img, b not in img
+        if length > 2:
+            forb = used.keys() - {img.get(a), img.get(b)}
+            tables: dict[int, list[int]] = {}
+
+            def table(v: int) -> list[int]:
+                dist = tables.get(v)
+                if dist is None:
+                    dist = tables[v] = _distances_to(adj, v, length, forb)
+                return dist
+
+        xas = candidates(a) if new_a else (img[a],)
+        if length == 2 and new_a and not new_b:
+            near = shared(img[b])
+            xas = [x for x in xas if x in near]
+        start = len(trail)
+        for xa in xas:
+            if new_a:
+                put(img, a, xa)
+                if not take(xa):
+                    undo(start)
+                    continue
+            at_a = len(trail)
+            if new_b and length > 2:
+                dist = table(xa)
+                xbs = [x for x in candidates(b) if dist[x] <= length]
+            elif new_b:
+                near = linked[xa] if length == 1 else shared(xa)
+                xbs = [x for x in candidates(b) if x in near]
+            elif length == 1:
+                xbs = [img[b]] if img[b] in linked[xa] else []
+            elif length == 2:  # `augment` decides
+                xbs = [img[b]]
+            else:
+                xbs = [img[b]] if table(img[b])[xa] <= length else []
+            for xb in xbs:
+                if new_b:
+                    put(img, b, xb)
+                    if not take(xb):
+                        undo(at_a)
+                        continue
+                if length == 2:
+                    if augment(ridx):
+                        yield True
+                elif length == 1:
+                    put(paths, ridx, (xa, xb))
+                    yield True
+                else:
+                    at_b = len(trail)
+                    for path in _walk_paths(
+                        adj, xa, xb, length, table(xb), budget
+                    ):
+                        put(paths, ridx, path)
+                        if all(take(y) for y in path[1:-1]):
+                            yield True
+                        undo(at_b)
+                undo(at_a)
+            undo(start)
+
+    if budget is not None:
+        budget.tick()
+    stack = []  # one branch generator per routed requirement
+    while len(stack) < len(order):
+        stack.append(branches(len(stack)))
+        while not next(stack[-1], False):
+            stack.pop()
+            if not stack:
+                return None
         if budget is not None:
             budget.tick()
-        if pos == len(order):
-            return True
-        ridx = order[pos]
-        a, b, length = tmpl.requirements[ridx]
-        forb = used - {img.get(a), img.get(b)}
-        tables: dict[int, list[int]] = {}
-
-        def table(v: int) -> list[int]:
-            dist = tables.get(v)
-            if dist is None:
-                dist = tables[v] = _distances_to(adj, v, length, forb)
-            return dist
-
-        for xa in [img[a]] if a in img else candidates(a):
-            new_a = a not in img
-            if new_a:
-                img[a] = xa
-                used.add(xa)
-            if length == 1:  # an edge: adjacency, not a distance table
-                if b in img:
-                    xbs = [img[b]] if xa in linked[img[b]] else []
-                else:
-                    near = linked[xa]
-                    xbs = [x for x in candidates(b) if x in near]
-            elif b in img:
-                xbs = [img[b]] if table(img[b])[xa] <= length else []
-            else:
-                near = table(xa)
-                xbs = [x for x in candidates(b) if near[x] <= length]
-            for xb in xbs:
-                new_b = b not in img
-                if new_b:
-                    img[b] = xb
-                    used.add(xb)
-                routes = (
-                    ((xa, xb),) if length == 1
-                    else _walk_paths(adj, xa, xb, length, table(xb), budget)
-                )
-                for path in routes:
-                    interior = path[1:-1]
-                    used.update(interior)
-                    paths[ridx] = path
-                    if place(pos + 1):
-                        return True
-                    del paths[ridx]
-                    used.difference_update(interior)
-                if new_b:
-                    del img[b]
-                    used.discard(xb)
-            if new_a:
-                del img[a]
-                used.discard(xa)
-        return False
-
-    if not place(0):
-        return None
+    for r, m in mate.items():  # every deferred requirement is matched
+        a, b, _ = reqs[r]
+        paths[r] = (img[a], m, img[b])
     # every embedding covers the same number of vertices, so when too few
     # are left here, none is left in any other embedding either
     loose = [t for t in range(tmpl.num_terminals) if t not in img]
-    free = [x for x in range(len(adj)) if x not in used]
+    free = [
+        x for x in range(len(adj)) if x not in used and owner.get(x) is None
+    ]
     if len(free) < len(loose):
         return None
     img.update(zip(loose, free))
@@ -643,11 +764,15 @@ def contains(
 
     Cycle-shaped patterns take the edge check's path walk
     (`_cycle_embedding`), other patterns `_template_search`, which answers
-    'absent' at once (0 nodes) when the pattern graph has more vertices or
-    edges than G; its twin ordering returns the same witness as the
-    unordered search in at most as many nodes: a `--node-limit` that
-    sufficed before still does, and some that ran out before now finish.
-    Either route's embedding is verified.
+    'absent' at once (0 nodes) when the pattern graph has more edges than
+    G, or more vertices than G has vertices of at least its smallest
+    degree.  It defers the middles of length-2 paths into a matching.
+    Without such paths, its twin ordering returns the same witness as the
+    unordered search in at most as many nodes, so a `--node-limit` that
+    sufficed for that search still does; with them, the status is the
+    same, but the witness can take other middles and the node count
+    differs case by case (far fewer in total).  Either route's embedding
+    is verified.
     """
     if budget is not None:
         budget.start()

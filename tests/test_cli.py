@@ -223,16 +223,21 @@ class TestFind:
                          "--pattern", "kst:zero")
         assert code == 2
 
+    # kst:2,2^2 takes the constructive route and cycle:8 the oracle, which
+    # never reads L; both hosts contain an 8-cycle, so only the up-front
+    # check of L stops either pattern
+
     def test_L_below_one_exit_2_on_any_host(self, capsys, tmp_path):
         # the isolated vertex makes the minimum degree 0, so refinement,
         # which also checks L, is never reached
         host = Graph(9, cycle_graph(8).edges)
         path = write_graph(tmp_path, host)
-        code, out, err = run(capsys, "find", "--graph", path,
-                             "--pattern", "kst:2,2^2",
-                             "--threshold", "const:1", "--L", "0.5")
-        assert code == 2 and out == ""
-        assert err == "error: L must be >= 1\n"
+        for pattern in ("kst:2,2^2", "cycle:8"):
+            code, out, err = run(capsys, "find", "--graph", path,
+                                 "--pattern", pattern,
+                                 "--threshold", "const:1", "--L", "0.5")
+            assert (code, out, err) == (2, "", "error: L must be >= 1\n"), \
+                pattern
 
     @pytest.mark.parametrize("threshold", ["const:1", "paper"])
     @pytest.mark.parametrize("L", ["inf", "nan"])
@@ -240,10 +245,12 @@ class TestFind:
         # the constructive host reaches refinement, whose condition (ii)
         # bound cannot be built from an infinite or NaN L
         path = write_graph(tmp_path, subdivide(complete_bipartite(2, 4), 2))
-        code, out, err = run(capsys, "find", "--graph", path,
-                             "--pattern", "kst:2,2^2",
-                             "--threshold", threshold, "--L", L)
-        assert (code, out, err) == (2, "", "error: L must be a finite number\n")
+        for pattern in ("kst:2,2^2", "cycle:8"):
+            code, out, err = run(capsys, "find", "--graph", path,
+                                 "--pattern", pattern,
+                                 "--threshold", threshold, "--L", L)
+            assert (code, out, err) == (
+                2, "", "error: L must be a finite number\n"), pattern
 
     def test_missing_file_exit_2(self, capsys):
         code, _, _ = run(capsys, "find", "--graph", "/nonexistent",

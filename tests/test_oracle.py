@@ -25,6 +25,7 @@ from spidersearch.oracle import (
     _distances_to,
     _template_search,
     _walk_paths,
+    _witness,
     adding_edge_creates,
     are_isomorphic,
     canonical_form,
@@ -37,6 +38,7 @@ from spidersearch.oracle import (
     verify_embedding,
 )
 from spidersearch.patterns import (
+    Template,
     as_cycle_length,
     compile_template,
     cycle_order,
@@ -182,18 +184,22 @@ class TestContains:
         (random_gnm(16, 20, seed=7), "kst:2,2^2", "absent", 99),
         (random_gnm(18, 26, seed=4), "cycle:17", "absent", 1803),
         (random_gnm(18, 30, seed=4), "cycle:12", "found", 13),
-        (subdivide(complete_bipartite(2, 3), 2), "kst:2,3^2", "found", 25),
-        (random_gnm(12, 20, seed=5), "kst:2,3^2", "found", 925),
-        (random_gnm(12, 16, seed=2), "spider:2,2*3", "absent", 630),
+        (subdivide(complete_bipartite(2, 3), 2), "kst:2,3^2", "found", 7),
+        (random_gnm(12, 20, seed=5), "kst:2,3^2", "found", 160),
+        # too few vertices of degree 2 or more: the size gate answers
+        (random_gnm(12, 16, seed=2), "spider:2,2*3", "absent", 0),
+        (random_gnm(12, 20, seed=2), "spider:2,2*3", "absent", 278),
         # C8-free, and kst:2,3^2 contains a C8
         (hill_climb_free(12, parse_pattern("cycle:8"), 100, seed=0),
-         "kst:2,3^2", "absent", 2010),
+         "kst:2,3^2", "absent", 0),
+        (hill_climb_free(13, parse_pattern("cycle:8"), 100, seed=0),
+         "kst:2,3^2", "absent", 1291),
     ])
     def test_frozen_node_counts(self, host, pattern, status, nodes):
         # budget ticks are part of the contract: the counts pin the search
-        # order, twin-ordered on the template route, so --node-limit answers
-        # and reported node counts move only when that order does; a pruned
-        # search never needs more ticks than the unpruned one
+        # order, twin-ordered on the template route with length-2 paths
+        # matched, so --node-limit answers and reported node counts move
+        # only when that order does
         res = contains(host, parse_pattern(pattern), SearchBudget(10**7))
         assert (res.status, res.nodes) == (status, nodes)
 
@@ -202,6 +208,42 @@ class TestContains:
         res = contains(g, parse_pattern("cycle:1500"))
         assert res.status == "found"
         assert verify_embedding(g, res.witness)
+
+    def test_many_requirements_beyond_recursion_limit(self):
+        # 1,600 requirements, more than the recursion limit, on a host that
+        # is the pattern itself
+        g = complete_bipartite(40, 40)
+        res = contains(g, parse_pattern("kst:40,40"))
+        assert res.status == "found"
+        assert embedding_error(g, res.witness) is None
+
+    def test_size_gate_counts_only_vertices_of_the_pattern_degree(self):
+        # K_10 plus a pendant vertex has 11 vertices, as many as
+        # kst:2,3^2, but only 10 of degree 2 or more, its smallest degree
+        g = Graph(11, complete_graph(10).edges | {(0, 10)})
+        desc = parse_pattern("kst:2,3^2")
+        res = contains(g, desc, SearchBudget(1))
+        assert (res.status, res.nodes) == ("absent", 0)
+        # the anchored check reads the degrees of the host plus the pair:
+        # adding (9, 0) to K_9 with pendants 9 and 10 gives vertex 9 a
+        # second neighbour, but vertex 10 still has one
+        h = Graph(11, complete_graph(9).edges | {(1, 9), (2, 10)})
+        adj = [set(h.neighbors(v)) for v in h.vertices()]
+        for anchored, _, x, y in _anchors(compile_template(desc)):
+            for pins in ({x: 9, y: 0}, {x: 0, y: 9}):
+                budget = SearchBudget()
+                assert _template_search(adj, anchored, budget, pins) is None
+                assert budget.nodes == 0
+        assert not _EdgeCheck(desc).start(h).creates(9, 0)
+        # a pin needs a degree of its own: K_11 plus an isolated vertex has
+        # vertices enough, but the pair's edge is all the isolated one gets
+        lone = Graph(12, complete_graph(11).edges)
+        adj = [set(lone.neighbors(v)) for v in lone.vertices()]
+        for anchored, _, x, y in _anchors(compile_template(desc)):
+            for pins in ({x: 11, y: 0}, {x: 0, y: 11}):
+                budget = SearchBudget()
+                assert _template_search(adj, anchored, budget, pins) is None
+                assert budget.nodes == 0
 
     def test_long_template_path_beyond_recursion_limit(self):
         g = path_graph(1499)
@@ -212,17 +254,22 @@ class TestContains:
 
 
 class TestTemplateSearchReference:
-    """The twin-ordered search against the unpruned one it replaced
-    (`bruteforce.reference_template_search`).  spider:1,2*2 is a 6-cycle,
-    so `contains` routes it to the cycle route; the template search is called
-    directly to cover a pattern whose roots are not twins.
+    """The search against the unpruned one it replaced
+    (`bruteforce.reference_template_search`).  spider:1,2*2 and spider:1,3*2
+    are cycles, so `contains` routes them to the cycle route; the template
+    search is called directly to cover patterns whose roots are not twins.
+    Twin ordering alone keeps the unordered search's witness; matching the
+    middles of length-2 paths keeps only its status.
     """
 
     PATTERNS = (
-        "kst:2,3^2", "kst:3,2^2", "kst:2,3", "kst:3,3", "spider:2,2*3",
-        "spider:1,2*2",
+        "kst:2,3", "kst:3,3", "spider:1,3*2",
         "arbitrary:5:0-1;0-2;1-3;2-3;3-4",  # terminals 1 and 2 are twins
         "arbitrary:6:0-1;1-2;2-3;3-4;1-5;2-5",  # no two terminals are twins
+    )
+    MATCHED_PATTERNS = (  # with length-2 requirements
+        "kst:2,3^2", "kst:3,2^2", "spider:2,2*3", "spider:1,2*2",
+        "spider:1,2,3", "spider:2,2,2",
     )
 
     @staticmethod
@@ -245,14 +292,19 @@ class TestTemplateSearchReference:
             return "budget", None, None
         return ("absent" if sol is None else "found"), sol, budget.nodes
 
-    def test_same_witness_in_no_more_nodes(self):
+    @staticmethod
+    def hosts():
         rng = random.Random(8)
-        statuses, unlocked = set(), 0
         for _ in range(100):
             n = rng.randint(6, 13)
-            g = random_gnm(n, rng.randint(n, 2 * n), rng.randrange(2**30))
+            yield random_gnm(n, rng.randint(n, 2 * n), rng.randrange(2**30))
+
+    def test_same_witness_in_no_more_nodes(self):
+        statuses, unlocked = set(), 0
+        for g in self.hosts():
             for text in self.PATTERNS:
                 tmpl = compile_template(parse_pattern(text))
+                assert all(ln != 2 for *_, ln in tmpl.requirements)
                 want, got = self.reference(g, tmpl), self.pruned(g, tmpl)
                 assert got[:2] == want[:2], (g, text)
                 assert got[2] <= want[2], (g, text)
@@ -266,6 +318,66 @@ class TestTemplateSearchReference:
                     unlocked += 1
         assert statuses == {"found", "absent"}
         assert unlocked > 0
+
+    def test_matched_middles_same_status_and_a_valid_witness(self):
+        statuses, ticks, reference_ticks = set(), 0, 0
+        for g in self.hosts():
+            for text in self.MATCHED_PATTERNS:
+                desc = parse_pattern(text)
+                tmpl = compile_template(desc)
+                assert any(ln == 2 for *_, ln in tmpl.requirements)
+                want = self.reference(g, tmpl)
+                statuses.add(want[0])
+                reference_ticks += want[2]
+                for limit in (None, 200):
+                    status, sol, nodes = self.pruned(g, tmpl, limit)
+                    if limit is None:
+                        assert status == want[0], (g, text)
+                        ticks += nodes
+                    if status == "found":
+                        w = _witness(desc, tmpl, *sol)
+                        assert embedding_error(g, w) is None, (g, text)
+                    elif status == "absent":
+                        assert want[0] == "absent", (g, text)
+        assert statuses == {"found", "absent"}
+        assert ticks < reference_ticks
+
+    def test_two_paths_cannot_share_their_only_middle(self):
+        # two disjoint 2-edge paths: every pair of leaves of the star
+        # K_{1,4} has the centre as its one common neighbour, and the edge
+        # 5-6 has none
+        g = Graph(7, complete_bipartite(1, 4).edges | {(5, 6)})
+        desc = parse_pattern("arbitrary:4:0-1;2-3^2")
+        assert contains(g, desc).status == "absent"
+        assert not brute_contains(g, instantiate(desc))
+        g2 = Graph(8, g.edges | {(1, 7), (2, 7)})  # a second middle
+        res = contains(g2, desc)
+        assert res.status == "found"
+        assert embedding_error(g2, res.witness) is None
+
+    @pytest.mark.parametrize("length", [1, 3])
+    def test_a_taken_middle_is_rerouted(self, length):
+        # vertex 2 is the first middle of 0-?-1; then terminal 2 (a
+        # neighbour of 1) or the 3-edge path 0-2-4-1 takes it, and the
+        # 2-edge path moves to vertex 3
+        tmpl = Template(2, ((0, 1, 2), (0, 1, 3))) if length == 3 else \
+            Template(3, ((0, 1, 2), (2, 1, 1)))
+        g = Graph.from_edges(5, [(0, 2), (1, 2), (0, 3), (1, 3), (2, 4),
+                                 (1, 4)])
+        adj = [g.neighbors(v) for v in g.vertices()]
+        img, paths = _template_search(adj, tmpl, None, {0: 0, 1: 1})
+        assert paths[0] == (0, 3, 1)
+        if length == 3:
+            assert paths[1] == (0, 2, 4, 1)
+        else:
+            assert (img[2], paths[1]) == (2, (2, 1))
+        # without the second middle, whatever takes vertex 2 leaves the
+        # 2-edge path none (terminal 2 could still take vertex 4, so its
+        # edge to 1 goes too)
+        blocked = {(1, 3)} if length == 3 else {(1, 3), (1, 4)}
+        h = Graph(g.n, g.edges - blocked)
+        adj = [h.neighbors(v) for v in h.vertices()]
+        assert _template_search(adj, tmpl, None, {0: 0, 1: 1}) is None
 
 
 class TestCycleRoute:
