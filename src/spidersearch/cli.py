@@ -52,7 +52,10 @@ def _load_graph(path: str) -> Graph:
 
 
 def _parse_lv(text: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in text.split(","))
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise ValueError(f"cannot parse length vector {text!r}") from None
 
 
 def _budget(args) -> SearchBudget | None:
@@ -234,7 +237,7 @@ def _cmd_classify(args) -> int:
     paths = classify_paths(g, args.k, thr)
     payload: dict = {"paths": {str(ell): _level_counts(lvl, lvl.total)
                                for ell, lvl in sorted(paths.levels.items())}}
-    if args.lv:
+    if args.lv is not None:
         lv = _parse_lv(args.lv)
         spiders = classify_spiders(g, lv, thr, paths)
         payload["spiders"] = {}
@@ -325,10 +328,13 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_sweep(args) -> int:
     parts = args.n_range.split(":")
-    if len(parts) not in (2, 3):
-        raise ValueError("--n-range must be A:B or A:B:S")
-    start, stop = int(parts[0]), int(parts[1])
-    step = int(parts[2]) if len(parts) == 3 else 1
+    try:
+        if len(parts) not in (2, 3):
+            raise ValueError
+        start, stop = int(parts[0]), int(parts[1])
+        step = int(parts[2]) if len(parts) == 3 else 1
+    except ValueError:
+        raise ValueError("--n-range must be A:B or A:B:S") from None
     config = SweepConfig(
         pattern=parse_pattern(args.pattern),
         n_start=start,

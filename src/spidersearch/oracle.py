@@ -329,7 +329,7 @@ class _EdgeCheck:
 
 def _anchors(tmpl: Template) -> list[tuple[Template, int, int, int]]:
     """The anchored templates of `tmpl`: one per orbit of its edges under
-    the twin swaps that `_twin_predecessors` tests.
+    the swaps of twin terminals (see `_twin_classes`).
 
     The edge at position j of requirement r = (a, b, L) joins the j-th and
     (j+1)-th vertices of that path.  Its anchored template drops r; the
@@ -348,13 +348,11 @@ def _anchors(tmpl: Template) -> list[tuple[Template, int, int, int]]:
     the other, and one anchor per orbit loses no copy.  Returns tuples
     (anchored template, r, x, y).
     """
-    cls: dict[int, int] = {}  # terminal -> first member of its twin class
-    for q, p in _search_plan(tmpl, _NO_VERTICES)[3].items():
-        cls[q] = cls.get(p, p)
+    cls = _twin_classes(tmpl)
     reqs = tmpl.requirements
     first: dict[tuple[int, int, int, int], tuple[int, int]] = {}
     for r, (a, b, ln) in enumerate(reqs):
-        ca, cb = cls.get(a, a), cls.get(b, b)
+        ca, cb = cls[a], cls[b]
         for j in range(ln):
             key = min((ca, cb, ln, j), (cb, ca, ln, ln - 1 - j))
             first.setdefault(key, (r, j))
@@ -447,8 +445,7 @@ def _requirement_order(
         def rank(i: int):
             a, b, ln = tmpl.requirements[i]
             known = (a in assigned) + (b in assigned)
-            constraint = max(incident.get(a, 0), incident.get(b, 0))
-            return (-known, ln, -constraint, i)
+            return (-known, ln, -max(incident[a], incident[b]), i)
 
         best = min(remaining, key=rank)
         remaining.remove(best)
@@ -458,13 +455,14 @@ def _requirement_order(
     return order
 
 
-def _twin_predecessors(tmpl: Template, entry: list[int]) -> dict[int, int]:
-    """Map each terminal to the twin that entered the search just before it.
+def _twin_classes(tmpl: Template) -> list[int]:
+    """Map each terminal to the first member of its twin class.
 
     Terminals p and q are twins when swapping them maps the requirement
     multiset {({a, b}, length)} onto itself.  Twinship is an equivalence
     (a product of two such swaps conjugates into a third), so a terminal
-    is compared with one member of each class only.
+    is compared with the first member of each class only.  Terminals that
+    no requirement touches form one class.
     """
     def shape(swap: dict[int, int]) -> Counter:
         return Counter(
@@ -473,37 +471,45 @@ def _twin_predecessors(tmpl: Template, entry: list[int]) -> dict[int, int]:
         )
 
     plain = shape({})
-    after: dict[int, int] = {}
-    latest: list[int] = []  # the last member to enter, per class so far
-    for q in entry:
-        for i, p in enumerate(latest):
-            if shape({p: q, q: p}) == plain:
-                after[q] = p
-                latest[i] = q
-                break
-        else:
-            latest.append(q)
-    return after
+    cls: list[int] = []
+    for q in range(tmpl.num_terminals):
+        firsts = dict.fromkeys(cls)  # the first member of each class so far
+        cls.append(next(
+            (p for p in firsts if shape({p: q, q: p}) == plain), q))
+    return cls
 
 
 @lru_cache(maxsize=_PLAN_CACHE_SIZE)
-def _search_plan(
-    tmpl: Template, pinned: frozenset[int]
-) -> tuple[dict[int, int], tuple[int, ...], tuple[int, ...], dict[int, int]]:
+def _search_plan(tmpl: Template, pinned: frozenset[int]) -> tuple[
+    Counter, tuple[int, ...], tuple[int, ...], dict[int, int], int, int, int
+]:
     """What `_template_search` derives from the template and its pinned
     terminals alone: requirements per terminal, the requirement order
     seeded with the pins, the order in which the other terminals enter,
-    and their twin predecessors.  Memoised; callers only read it.
+    the twin that entered just before each of them, and the pattern half
+    of the size gate (the pattern's edge count, the number of its unpinned
+    vertices and their smallest degree).  Memoised; callers only read it.
     """
-    incident: dict[int, int] = {}
-    for a, b, _ in tmpl.requirements:
-        incident[a] = incident.get(a, 0) + 1
-        incident[b] = incident.get(b, 0) + 1
+    reqs = tmpl.requirements
+    incident = Counter(t for a, b, _ in reqs for t in (a, b))
     order = _requirement_order(tmpl, incident, pinned)
     entry = tuple(dict.fromkeys(
-        t for r in order for t in tmpl.requirements[r][:2] if t not in pinned
+        t for r in order for t in reqs[r][:2] if t not in pinned
     ))
-    return incident, tuple(order), entry, _twin_predecessors(tmpl, entry)
+    cls = _twin_classes(tmpl)
+    after: dict[int, int] = {}
+    latest: dict[int, int] = {}  # the last member to enter, per class
+    for q in entry:
+        if cls[q] in latest:
+            after[q] = latest[cls[q]]
+        latest[cls[q]] = q
+    size = sum(ln for *_, ln in reqs)
+    # the pattern degrees of the unpinned terminals, then of path interiors
+    degrees = [
+        incident[t] for t in range(tmpl.num_terminals) if t not in pinned
+    ] + [2] * (size - len(reqs))
+    return (incident, tuple(order), entry, after,
+            size, len(degrees), min(degrees, default=0))
 
 
 def _template_search(
@@ -513,9 +519,12 @@ def _template_search(
     pins: dict[int, int] | None = None,
 ) -> tuple[dict[int, int], dict[int, tuple[int, ...]]] | None:
     """The first embedding of the template in the host with adjacency
-    `adj`, one neighbour collection per vertex, in search order, or None.
-    Paths follow the order in which `adj` lists neighbours.  `pins` maps
-    terminals to fixed images.
+    `adj`, in search order, or None; `pins` maps terminals to fixed images.
+    `adj` has one neighbour collection per vertex that iterates in the
+    order paths follow and answers membership: dicts of ascending
+    neighbours from `contains`, sets from `_EdgeCheck`.  The memoised
+    `_search_plan` holds all that depends on the template and the pinned
+    terminals alone, from the orders to the pattern half of the size gate.
 
     Size gate: every pattern vertex but the pinned ones needs a host vertex
     of its own whose degree reaches the smallest pattern degree among them,
@@ -528,7 +537,7 @@ def _template_search(
     Requirements are routed in `_requirement_order`; a requirement with a
     new end tries its images in ascending vertex order.  Terminals enter in
     that order, `a` before `b`, and within each twin class (see
-    `_twin_predecessors`) a terminal's image must exceed the image of the
+    `_twin_classes`) a terminal's image must exceed the image of the
     twin that entered just before it.  Candidates ascend, so the mirror of
     an embedding that breaks this order lies in an earlier, exhaustively
     searched sibling branch, and a swap of two unpinned twins fixes the
@@ -547,7 +556,8 @@ def _template_search(
     terminal or a longer path takes from it sends its requirement down
     another one.  When either finds none, no embedding extends the branch.
     A new `b` needs a neighbour of `a`'s image that no terminal image or
-    longer path uses, and the leaf reads the middles off the matching.
+    longer path uses.  The leaf reads the paths of length 1 and 2 off the
+    terminal images and the matching.
 
     Without length-2 requirements the first embedding is the unordered
     search's, in at most as many budget ticks.  With them, the images and
@@ -557,43 +567,32 @@ def _template_search(
     The search is a loop over an explicit stack of one branch generator
     per routed requirement (`branches`), so the requirement count is not
     bounded by the recursion limit; every change to the images, the used
-    vertices, the paths and the matching is undone from one trail.  One budget tick per
-    search node and per `_walk_paths` node.  Terminals that no requirement
-    touches take the smallest unused vertices at the end.
+    vertices, the longer paths and the matching is undone from one trail.
+    One budget tick per search node and per `_walk_paths` node; terminals
+    that no requirement touches take the smallest unused vertices last.
     """
     reqs = tmpl.requirements
     pins = pins or {}
-    incident, order, entry, after = _search_plan(tmpl, frozenset(pins))
-    size = sum(ln for _, _, ln in reqs)
-    # the pattern degrees of the unpinned terminals, then of path interiors
-    degrees = [
-        incident.get(t, 0) for t in range(tmpl.num_terminals) if t not in pins
-    ] + [2] * (size - len(reqs))
-    low = min(degrees, default=0)
+    incident, order, entry, after, size, need, low = _search_plan(
+        tmpl, frozenset(pins))
     room = sum(len(ns) >= low for ns in adj)
     room -= sum(len(adj[x]) >= low for x in pins.values())  # taken by pins
     if (
         2 * size > sum(map(len, adj))  # degrees sum to twice the edges
-        or len(degrees) > room
-        or any(len(adj[x]) < incident.get(t, 0) for t, x in pins.items())
+        or need > room
+        or any(len(adj[x]) < incident[t] for t, x in pins.items())
     ):
         return None
     pool = {
         t: [x for x in range(len(adj)) if len(adj[x]) >= incident[t]]
         for t in entry
     }
-    # requirements of length 1 and 2 ask whether two vertices are adjacent,
-    # which sets answer in constant time whatever the degree; such a
-    # requirement passed the size gate, so the host has a vertex
-    linked = adj
-    if any(ln <= 2 for *_, ln in reqs) and not isinstance(adj[0], set):
-        linked = [set(ns) for ns in adj]
 
     img = dict(pins)
     # terminal images and the interiors of paths longer than 2; the middles
     # of length-2 paths are in `owner` instead
     used = dict.fromkeys(pins.values(), True)
-    paths: dict[int, tuple[int, ...]] = {}
+    paths: dict[int, tuple[int, ...]] = {}  # longer than 2 until the leaf
     mate: dict[int, int | None] = {}  # deferred requirement -> its middle
     owner: dict[int, int | None] = {}  # middle -> its deferred requirement
     trail: list[tuple[dict, int, object]] = []  # (dict, key, old value)
@@ -622,7 +621,7 @@ def _template_search(
         q = r
         while True:
             a, b, _ = reqs[q]
-            near = linked[img[b]]
+            near = adj[img[b]]
             held = []
             for m in adj[img[a]]:
                 if m in near and m not in used:
@@ -698,10 +697,10 @@ def _template_search(
                 dist = table(xa)
                 xbs = [x for x in candidates(b) if dist[x] <= length]
             elif new_b:
-                near = linked[xa] if length == 1 else shared(xa)
+                near = adj[xa] if length == 1 else shared(xa)
                 xbs = [x for x in candidates(b) if x in near]
             elif length == 1:
-                xbs = [img[b]] if img[b] in linked[xa] else []
+                xbs = [img[b]] if img[b] in adj[xa] else []
             elif length == 2:  # `augment` decides
                 xbs = [img[b]]
             else:
@@ -712,13 +711,7 @@ def _template_search(
                     if not take(xb):
                         undo(at_a)
                         continue
-                if length == 2:
-                    if augment(ridx):
-                        yield True
-                elif length == 1:
-                    put(paths, ridx, (xa, xb))
-                    yield True
-                else:
+                if length > 2:
                     at_b = len(trail)
                     for path in _walk_paths(
                         adj, xa, xb, length, table(xb), budget
@@ -727,6 +720,8 @@ def _template_search(
                         if all(take(y) for y in path[1:-1]):
                             yield True
                         undo(at_b)
+                elif length == 1 or augment(ridx):
+                    yield True
                 undo(at_a)
             undo(start)
 
@@ -741,9 +736,11 @@ def _template_search(
                 return None
         if budget is not None:
             budget.tick()
-    for r, m in mate.items():  # every deferred requirement is matched
-        a, b, _ = reqs[r]
-        paths[r] = (img[a], m, img[b])
+    for r, (a, b, length) in enumerate(reqs):  # every routed one holds
+        if length == 1:
+            paths[r] = (img[a], img[b])
+        elif length == 2:
+            paths[r] = (img[a], mate[r], img[b])
     # every embedding covers the same number of vertices, so when too few
     # are left here, none is left in any other embedding either
     loose = [t for t in range(tmpl.num_terminals) if t not in img]
@@ -771,8 +768,9 @@ def contains(
     unordered search in at most as many nodes, so a `--node-limit` that
     sufficed for that search still does; with them, the status is the
     same, but the witness can take other middles and the node count
-    differs case by case (far fewer in total).  Either route's embedding
-    is verified.
+    differs case by case (far fewer in total).  The search reads G as one
+    dict of neighbours per vertex, ascending like `G.neighbors` and hashed
+    like a set.  Either route's embedding is verified.
     """
     if budget is not None:
         budget.start()
@@ -782,7 +780,7 @@ def contains(
         if M is not None:
             sol = _cycle_embedding(G, desc, tmpl, budget)
         else:
-            adj = [G.neighbors(v) for v in G.vertices()]  # ascending
+            adj = [dict.fromkeys(G.neighbors(v)) for v in G.vertices()]
             sol = _template_search(adj, tmpl, budget)
     except BudgetExhausted:
         return ContainmentResult("budget", nodes=budget.nodes if budget else 0)

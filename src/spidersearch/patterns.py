@@ -69,6 +69,13 @@ def parse_pattern(text: str) -> PatternDescriptor:
     m = _BASE_RE.match(text.strip())
     if not m:
         raise ValueError(f"cannot parse pattern {text!r}")
+
+    def num(field: str) -> int:
+        try:
+            return int(field)
+        except ValueError:
+            raise ValueError(f"cannot parse pattern {text!r}") from None
+
     base = m.group("base")
     k = int(m.group("k")) if m.group("k") else 1
     blow = int(m.group("t")) if m.group("t") else None
@@ -81,21 +88,21 @@ def parse_pattern(text: str) -> PatternDescriptor:
         parts = args.split(",")
         if len(parts) != 2:
             raise ValueError("kst pattern needs two part sizes: kst:s,t")
-        s, t = int(parts[0]), int(parts[1])
+        s, t = num(parts[0]), num(parts[1])
         if s < 1 or t < 1:
             raise ValueError("kst part sizes must be positive")
         if blow is not None:
             raise ValueError("blowup modifier applies to spider patterns only")
         return PatternDescriptor(kind="kst", s=s, t=t, subdivision=k)
     if kind == "cycle":
-        length = int(args)
+        length = num(args)
         if length < 3:
             raise ValueError("cycle length must be at least 3")
         if blow is not None:
             raise ValueError("blowup modifier applies to spider patterns only")
         return PatternDescriptor(kind="cycle", length=length, subdivision=k)
     if kind == "spider":
-        legs = tuple(int(x) for x in args.split(","))
+        legs = tuple(num(x) for x in args.split(","))
         if not legs or any(x < 1 for x in legs):
             raise ValueError("spider leg lengths must be positive")
         return PatternDescriptor(
@@ -103,11 +110,11 @@ def parse_pattern(text: str) -> PatternDescriptor:
         )
     if kind == "arbitrary":
         nstr, _, pairs = args.partition(":")
-        n = int(nstr)
+        n = num(nstr)
         edges = []
         for pair in pairs.split(";"):
             a, _, b = pair.partition("-")
-            u, v = int(a), int(b)
+            u, v = num(a), num(b)
             if u == v:
                 raise ValueError(f"pattern edge {pair} is a loop")
             if not (0 <= u < n and 0 <= v < n):

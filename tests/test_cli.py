@@ -100,6 +100,17 @@ class TestSpiders:
         assert code == 0 and lines[0] == "leaf_vector,count"
         assert sum(int(ln.split(",")[1]) for ln in lines[1:]) == 16
 
+    @pytest.mark.parametrize("command", [
+        ("spiders", "count"), ("classify", "--k", "2", "--threshold", "const:1"),
+    ], ids=["count", "classify"])
+    @pytest.mark.parametrize("lv", ["2,a", "2,", "1;2", ""])
+    def test_malformed_lv_names_the_vector(self, capsys, tmp_path, command,
+                                           lv):
+        path = write_graph(tmp_path, cycle_graph(8))
+        code, out, err = run(capsys, *command, "--graph", path, "--lv", lv)
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot parse length vector {lv!r}\n"
+
 
 class TestClassify:
     def test_c8_const1(self, capsys, tmp_path):
@@ -307,6 +318,10 @@ class TestOracle:
         ("arbitrary:2:1-1^3", "pattern edge 1-1 is a loop"),
         ("arbitrary:2:1-1", "pattern edge 1-1 is a loop"),
         ("arbitrary:2:0-5^2", "pattern edge 0-5 leaves the vertex range 0..1"),
+        # a missing or extra number, not Python's own int() message
+        *((text, f"cannot parse pattern {text!r}") for text in (
+            "kst:2,", "spider:1,,2", "arbitrary:3:0-", "arbitrary:3:0-1-2",
+            "arbitrary:3:", "arbitrary::0-1")),
     ])
     def test_malformed_arbitrary_pattern_exit_2(self, capsys, tmp_path,
                                                 pattern, message):
@@ -358,9 +373,12 @@ class TestSweep:
         assert len([ln for ln in lines if not ln.startswith("#")]) == 5
 
     def test_bad_range_exit_2(self, capsys):
-        code, _, _ = run(capsys, "sweep", "--pattern", "cycle:8",
-                         "--n-range", "7")
-        assert code == 2
+        # a missing or non-numeric bound names the option, not int()
+        for n_range in ("7", "4:x", "4:", "4:8:2:1"):
+            code, out, err = run(capsys, "sweep", "--pattern", "cycle:8",
+                                 "--n-range", n_range)
+            assert (code, out) == (2, ""), n_range
+            assert err == "error: --n-range must be A:B or A:B:S\n"
 
 
 class TestGlobalFlags:

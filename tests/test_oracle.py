@@ -24,6 +24,7 @@ from spidersearch.oracle import (
     _anchors,
     _distances_to,
     _template_search,
+    _twin_classes,
     _walk_paths,
     _witness,
     adding_edge_creates,
@@ -179,6 +180,26 @@ class TestContains:
         assert res.status == "found"
         assert verify_embedding(g, res.witness)
 
+    # the witnesses of the found rows below, terminals and paths, keyed by
+    # pattern and node count: they pin the order in which neighbours are read
+    FROZEN_WITNESSES = {
+        ("cycle:12", 13): (
+            (0, 16, 3, 10, 4, 9, 2, 1, 11, 7, 12, 6),
+            ((0, 16), (16, 3), (3, 10), (10, 4), (4, 9), (9, 2), (2, 1),
+             (1, 11), (11, 7), (7, 12), (12, 6), (6, 0)),
+        ),
+        ("kst:2,3^2", 7): (
+            (0, 1, 2, 3, 4),
+            ((2, 5, 0), (2, 8, 1), (3, 6, 0), (3, 9, 1), (4, 7, 0),
+             (4, 10, 1)),
+        ),
+        ("kst:2,3^2", 160): (
+            (0, 10, 2, 4, 6),
+            ((2, 11, 0), (2, 5, 10), (4, 8, 0), (4, 3, 10), (6, 1, 0),
+             (6, 9, 10)),
+        ),
+    }
+
     @pytest.mark.parametrize("host,pattern,status,nodes", [
         (cycle_graph(7), "kst:2,2^2", "absent", 6),
         (random_gnm(16, 20, seed=7), "kst:2,2^2", "absent", 99),
@@ -202,6 +223,10 @@ class TestContains:
         # only when that order does
         res = contains(host, parse_pattern(pattern), SearchBudget(10**7))
         assert (res.status, res.nodes) == (status, nodes)
+        if status == "found":
+            w = res.witness
+            assert (w.terminals, w.paths) == self.FROZEN_WITNESSES[
+                pattern, nodes]
 
     def test_long_cycle_beyond_recursion_limit(self):
         g = cycle_graph(1500)
@@ -792,6 +817,24 @@ class TestEdgeCheck:
                 assert check.creates(v, u) == want, (pattern, g, v, u)
                 verdicts.add(want)
         assert verdicts == ({True} if pattern == "kst:1,1" else {True, False})
+
+    @pytest.mark.parametrize("pattern,classes,anchors", [
+        ("kst:2,3^2", [0, 0, 2, 2, 2], [(0, 2, 5), (0, 5, 0)]),
+        ("kst:3,3", [0, 0, 0, 3, 3, 3], [(0, 3, 0)]),
+        ("spider:1,2*2", [0, 1, 2, 2], [(0, 2, 0), (1, 2, 4), (1, 4, 1)]),
+        ("arbitrary:5:0-1;0-2;1-3;2-3;3-4", [0, 1, 1, 3, 4],  # 1, 2 twins
+         [(0, 0, 1), (2, 1, 3), (4, 3, 4)]),
+        ("arbitrary:6:0-1;1-2;2-3;3-4;1-5;2-5", [0, 1, 2, 3, 4, 5],  # none
+         [(0, 0, 1), (1, 1, 2), (2, 1, 5), (3, 2, 3), (4, 2, 5), (5, 3, 4)]),
+        # the loose terminals 0, 2 and 4 are twins of each other
+        ("arbitrary:5:1-3", [0, 1, 0, 1, 0], [(0, 1, 3)]),
+    ])
+    def test_twin_classes_and_anchors(self, pattern, classes, anchors):
+        # each terminal's class by its first member, and the (r, x, y) of
+        # every anchor, one per edge orbit under the twin swaps
+        tmpl = compile_template(parse_pattern(pattern))
+        assert _twin_classes(tmpl) == classes
+        assert [anchor[1:] for anchor in _anchors(tmpl)] == anchors
 
     @pytest.mark.parametrize(
         "pattern", ["cycle:4", "cycle:6", "kst:2,2^2", "kst:2,3"]

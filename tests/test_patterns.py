@@ -28,11 +28,14 @@ class TestParse:
     @pytest.mark.parametrize("text", [
         "kst:2", "kst:0,2", "cycle:2", "spider:0,1", "nonsense",
         "kst:2,2*3", "cycle:6*2", "kst:2,2^0", "arbitrary:2:1-1^3",
-        "arbitrary:2:0-5^2", "arbitrary:3:0--1",
+        "arbitrary:2:0-5^2", "arbitrary:3:0--1", "kst:2,", "spider:1,,2",
+        "arbitrary:3:0-", "arbitrary:3:0-1-2", "arbitrary:3:",
+        "arbitrary::0-1",
     ])
     def test_rejects(self, text):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as exc:
             parse_pattern(text)
+        assert "invalid literal" not in str(exc.value)  # int()'s own message
 
 
 class TestTemplates:
