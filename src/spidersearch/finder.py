@@ -73,9 +73,10 @@ def family_condition_violations(fam: SpiderFamily) -> list[str]:
     for gamma, trunc in layout.truncations.items():
         thr = _condition_ii_threshold(fam.delta, fam.L, sum(gamma))
         tc = Counter(map(trunc, fam.members))
-        for sp in fam.members:
-            if tc[trunc(sp)] < thr:
-                out.append(f"(ii) violated at {sp} for gamma={gamma}")
+        short = {cls for cls, cnt in tc.items() if cnt < thr}
+        if short:
+            out += [f"(ii) violated at {sp} for gamma={gamma}"
+                    for sp in fam.members if trunc(sp) in short]
     return out
 
 
@@ -423,6 +424,12 @@ def find_kstk(
     constructive route on each over-represented length vector (most
     admissible-not-good spiders first), falling back to oracle backtracking.
 
+    Refinement's condition (ii) needs min degree delta > 0, so a host with
+    an isolated vertex goes straight to the oracle: nothing is classified,
+    `tried` stays empty and the one note says why.  Every threshold the
+    classification would read is read first on both routes, so a table too
+    short for the pattern fails the same way on every host.
+
     Vectors with two unit legs are skipped: their surplus collapses to
     over-counted 2-paths, whose constructive use is out of scope.
     """
@@ -432,49 +439,53 @@ def find_kstk(
     desc = kst_pattern(s, t, k)
     notes: list[str] = []
     tried: list[tuple[int, ...]] = []
-
-    path_tables = classify_paths(G, k, thresholds)
-    spider_tables = classify_spiders(G, (k,) * s, thresholds, path_tables)
-
-    # threshold consistency: no leaf vector may carry more good spiders
-    # than the threshold itself (impossible with exact counting)
-    levels = spider_tables.levels
-    full = levels[(k,) * s]
-    bound = thresholds.f(s * k)
-    good_by_leaf = Counter(map(spider_layout((k,) * s).leaf, full.good))
-    for leaf, cnt in good_by_leaf.items():
-        if cnt > bound:
-            raise RuntimeError(f"threshold consistency broken at leaf {leaf}")
+    # every threshold the classification reads, in its order (path lengths
+    # 2..k, then spider totals s..sk), so a short table fails on any host
+    for ell in (*range(2, k + 1), *range(s, s * k + 1)):
+        thresholds.f(ell)
 
     delta = G.min_degree()
-    vectors = sorted(
-        levels,
-        key=lambda v: (-(len(levels[v].admissible) - len(levels[v].good)), v),
-    )
-    for vec in vectors:
-        if sum(1 for x in vec if x == 1) > 1:
-            notes.append(f"{vec}: skipped (two unit legs)")
-            continue
-        if len(levels[vec].admissible) == len(levels[vec].good):
-            notes.append(f"{vec}: no admissible-not-good surplus")
-            continue
-        tried.append(vec)
-        if delta == 0:
-            notes.append(f"{vec}: min degree 0, refinement impossible")
-            continue
-        fam = refine_family(spider_tables.not_good_admissible(vec), vec,
-                            thresholds, delta, L)
-        if not fam.members:
-            notes.append(f"{vec}: refinement emptied the family")
-            continue
-        try:
-            w = assemble_blowup(G, fam, (k,) * s, t, desc=desc)
-            return FindReport(w, "constructive", tuple(tried), tuple(notes))
-        except ConstructionFailure as e:
-            notes.append(
-                f"{vec}: chain failed at {e.stage} "
-                f"after {e.rounds_completed} rounds"
-            )
+    if delta == 0:
+        notes.append("min degree 0, refinement impossible")
+    else:
+        path_tables = classify_paths(G, k, thresholds)
+        spider_tables = classify_spiders(G, (k,) * s, thresholds, path_tables)
+
+        # threshold consistency: no leaf vector may carry more good spiders
+        # than the threshold itself (impossible with exact counting)
+        levels = spider_tables.levels
+        full = levels[(k,) * s]
+        bound = thresholds.f(s * k)
+        good_by_leaf = Counter(map(spider_layout((k,) * s).leaf, full.good))
+        for leaf, cnt in good_by_leaf.items():
+            if cnt > bound:
+                raise RuntimeError(f"threshold consistency broken at leaf {leaf}")
+
+        vectors = sorted(
+            levels,
+            key=lambda v: (-(len(levels[v].admissible) - len(levels[v].good)), v),
+        )
+        for vec in vectors:
+            if sum(1 for x in vec if x == 1) > 1:
+                notes.append(f"{vec}: skipped (two unit legs)")
+                continue
+            if len(levels[vec].admissible) == len(levels[vec].good):
+                notes.append(f"{vec}: no admissible-not-good surplus")
+                continue
+            tried.append(vec)
+            fam = refine_family(spider_tables.not_good_admissible(vec), vec,
+                                thresholds, delta, L)
+            if not fam.members:
+                notes.append(f"{vec}: refinement emptied the family")
+                continue
+            try:
+                w = assemble_blowup(G, fam, (k,) * s, t, desc=desc)
+                return FindReport(w, "constructive", tuple(tried), tuple(notes))
+            except ConstructionFailure as e:
+                notes.append(
+                    f"{vec}: chain failed at {e.stage} "
+                    f"after {e.rounds_completed} rounds"
+                )
 
     res: ContainmentResult = contains(G, desc, oracle_budget)
     if res.status == "found":

@@ -43,6 +43,7 @@ from spidersearch.patterns import parse_pattern
 from spidersearch.sweep import SweepConfig, run_sweep
 
 from bruteforce import brute_classify_paths, brute_classify_spiders, unflatten
+from conftest import criterion5_hosts
 
 
 @contextmanager
@@ -141,29 +142,9 @@ def test_criterion_4_density_calculus():
 
 def test_criterion_5_finder_soundness():
     with criterion(5, "finder soundness on fuzzed hosts"):
-        rng = random.Random(5055)
         budget_hosts = 0
         witnesses = 0
-        for i in range(200):
-            kind = rng.random()
-            if kind < 0.6:
-                n = rng.randint(8, 60)
-                m = min(n * (n - 1) // 2, int(n * rng.uniform(1.0, 2.0)))
-                g = random_gnm(n, m, rng.randrange(2**30))
-            elif kind < 0.85:
-                s = rng.choice([2, 3])
-                t = rng.choice([2, 3, 4])
-                k = rng.choice([2, 3])
-                g = subdivide(complete_bipartite(s, t), k)
-                if rng.random() < 0.5:
-                    chords = random_gnm(g.n, min(g.n, 8), rng.randrange(2**30))
-                    g = Graph(g.n, g.edges | chords.edges)
-            else:
-                n = rng.randint(61, 120)
-                m = int(n * rng.uniform(1.0, 1.6))
-                g = random_gnm(n, m, rng.randrange(2**30))
-            thr = Thresholds.constant(rng.choice([1, 2, 3]))
-            L = rng.choice([2.0, 4.0])
+        for i, (g, thr, L) in enumerate(criterion5_hosts()):
             rep = find_kstk(g, 2, 2, 2, thr, L,
                             SearchBudget(node_limit=500_000))
             if rep.status == "budget":

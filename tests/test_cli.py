@@ -275,6 +275,24 @@ class TestFind:
         const = run(capsys, *argv, "--threshold", "const:2")
         assert custom == const and custom[0] == 0
 
+    def test_isolated_vertex_one_note(self, capsys, tmp_path):
+        path = write_graph(tmp_path, Graph(9, cycle_graph(8).edges))
+        code, out, err = run(capsys, "find", "--graph", path, "--pattern",
+                             "kst:2,2^2", "--threshold", "const:1")
+        assert code == 0 and Witness.from_json(out).route == "oracle"
+        assert err == "note: min degree 0, refinement impossible\n"
+
+    def test_short_custom_table_exit_2_on_isolated_vertex_host(
+        self, capsys, tmp_path
+    ):
+        # classification would read f(3) for the (1, 2) spiders; a host
+        # that skips classification must still refuse the table
+        path = write_graph(tmp_path, Graph(9, cycle_graph(8).edges))
+        code, out, err = run(capsys, "find", "--graph", path, "--pattern",
+                             "kst:2,2^2", "--threshold", "custom:1,1")
+        assert (code, out, err) == (
+            2, "", "error: custom table has no value for ell=3\n")
+
     def test_unknown_threshold_exit_2(self, capsys, tmp_path):
         path = write_graph(tmp_path, cycle_graph(8))
         code, out, err = run(capsys, "find", "--graph", path,

@@ -5,6 +5,8 @@ from collections import Counter
 import pytest
 
 from bruteforce import brute_refine, unflatten
+from conftest import criterion5_hosts
+from spidersearch import finder
 from spidersearch.finder import (
     ConstructionFailure,
     SpiderFamily,
@@ -25,7 +27,8 @@ from spidersearch.graph import (
     random_gnm,
     subdivide,
 )
-from spidersearch.oracle import verify_embedding
+from spidersearch.oracle import SearchBudget, contains, verify_embedding
+from spidersearch.patterns import kst_pattern
 from spidersearch.spiders import (
     enumerate_spiders,
     spider_layout,
@@ -103,6 +106,31 @@ class TestRefine:
         _, fam = k66_family()
         assert fam.members
         assert family_condition_violations(fam) == []
+
+    def test_violations_listed_in_member_order(self):
+        # delta = 2, L = 1: every gamma class needs 2^|gamma| members;
+        # three members break (ii), at one gamma or at all three, and f = 3
+        # needs two members per leaf vector for (i)
+        members = (
+            (0, 1, 2, 3, 4), (0, 1, 2, 3, 6), (0, 1, 2, 3, 12),
+            (0, 1, 5, 3, 4), (0, 1, 5, 3, 6), (0, 14, 2, 15, 4),
+            (7, 8, 9, 10, 11),
+        )
+        fam = SpiderFamily((2, 2), members, 2, 1.0, Thresholds.constant(3))
+        assert family_condition_violations(fam) == [
+            "(i) violated at (0, 1, 2, 3, 6)",
+            "(i) violated at (0, 1, 2, 3, 12)",
+            "(i) violated at (0, 1, 5, 3, 4)",
+            "(i) violated at (0, 1, 5, 3, 6)",
+            "(i) violated at (7, 8, 9, 10, 11)",
+            "(ii) violated at (0, 14, 2, 15, 4) for gamma=(0, 1)",
+            "(ii) violated at (7, 8, 9, 10, 11) for gamma=(0, 1)",
+            "(ii) violated at (0, 1, 2, 3, 12) for gamma=(1, 0)",
+            "(ii) violated at (0, 14, 2, 15, 4) for gamma=(1, 0)",
+            "(ii) violated at (7, 8, 9, 10, 11) for gamma=(1, 0)",
+            "(ii) violated at (0, 14, 2, 15, 4) for gamma=(1, 1)",
+            "(ii) violated at (7, 8, 9, 10, 11) for gamma=(1, 1)",
+        ]
 
     def test_deterministic(self):
         _, a = k66_family()
@@ -367,6 +395,41 @@ class TestFindKstk:
     def test_params_validated(self):
         with pytest.raises(ValueError):
             find_kstk(cycle_graph(8), 1, 2, 2, Thresholds.constant(1), 1.0)
+
+
+class TestMinDegreeZero:
+    """Condition (ii) needs min degree > 0, so a host with an isolated
+    vertex goes straight to the oracle without classifying anything."""
+
+    @pytest.fixture(autouse=True)
+    def no_classification(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("classified a host with min degree 0")
+
+        monkeypatch.setattr(finder, "classify_paths", refuse)
+        monkeypatch.setattr(finder, "classify_spiders", refuse)
+
+    @pytest.mark.parametrize("g, budget, status", [
+        (Graph(9, cycle_graph(8).edges), None, "oracle"),
+        (Graph(8, cycle_graph(7).edges), None, "not-found"),
+        (Graph(9, cycle_graph(8).edges), SearchBudget(1), "budget"),
+    ])
+    def test_straight_to_oracle(self, g, budget, status):
+        rep = find_kstk(g, 2, 2, 2, Thresholds.constant(1), 2.0, budget)
+        assert (rep.status, rep.tried, rep.notes) == (
+            status, (), ("min degree 0, refinement impossible",))
+        assert (rep.witness is not None) == (status == "oracle")
+
+    def test_criterion5_hosts_match_the_oracle(self):
+        desc = kst_pattern(2, 2, 2)
+        status = {"found": "oracle", "absent": "not-found", "budget": "budget"}
+        hosts = [h for h in criterion5_hosts() if h[0].min_degree() == 0]
+        assert len(hosts) == 100
+        for g, thr, L in hosts:
+            rep = find_kstk(g, 2, 2, 2, thr, L, SearchBudget(500_000))
+            res = contains(g, desc, SearchBudget(500_000))
+            assert (rep.status, rep.witness) == (status[res.status],
+                                                 res.witness)
 
 
 def _witness_json(roots, paths):
