@@ -11,6 +11,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from math import isqrt
 from typing import Iterable
 
 
@@ -196,8 +197,21 @@ def random_gnm(n: int, m: int, seed: int) -> Graph:
     if m > total:
         raise ValueError(f"m={m} exceeds maximum {total} for n={n}")
     rng = random.Random(seed)
-    pairs = list(combinations(range(n), 2))
-    return Graph.from_edges(n, rng.sample(pairs, m))
+    # sampling indices picks what sampling the list of all pairs would
+    return Graph.from_edges(
+        n, [_pair(n, total, k) for k in rng.sample(range(total), m)])
+
+
+def _pair(n: int, total: int, k: int) -> tuple[int, int]:
+    """The k-th pair of `combinations(range(n), 2)`; total = n(n-1)/2.
+
+    Counted from the end, row u = n-2-r holds r+1 pairs, (u, n-1) first,
+    and r(r+1)/2 pairs follow it, so pair `back` from the end lies in the
+    row with r(r+1)/2 <= back < (r+1)(r+2)/2.
+    """
+    back = total - 1 - k
+    r = (isqrt(8 * back + 1) - 1) // 2
+    return n - 2 - r, n - 1 - (back - r * (r + 1) // 2)
 
 
 # -- subdivision and rooted blowups ----------------------------------------

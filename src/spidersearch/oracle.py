@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import random
-from bisect import bisect_right
 from collections import Counter
 from collections.abc import Callable, Collection, Sequence
 from dataclasses import dataclass, field
@@ -481,21 +480,21 @@ def _twin_classes(tmpl: Template) -> list[int]:
 
 @lru_cache(maxsize=_PLAN_CACHE_SIZE)
 def _search_plan(tmpl: Template, pinned: frozenset[int]) -> tuple[
-    Counter, tuple[int, ...], tuple[int, ...], dict[int, int], int, int, int
+    Counter, tuple[int, ...], dict[int, int], int, int, int
 ]:
     """What `_template_search` derives from the template and its pinned
     terminals alone: requirements per terminal, the requirement order
-    seeded with the pins, the order in which the other terminals enter,
-    the twin that entered just before each of them, and the pattern half
-    of the size gate (the pattern's edge count, the number of its unpinned
-    vertices and their smallest degree).  Memoised; callers only read it.
+    seeded with the pins, for each other terminal the twin that entered
+    just before it (if any), and the pattern half of the size gate (the
+    pattern's edge count, the number of its unpinned vertices and their
+    smallest degree).  Memoised; callers only read it.
     """
     reqs = tmpl.requirements
     incident = Counter(t for a, b, _ in reqs for t in (a, b))
     order = _requirement_order(tmpl, incident, pinned)
-    entry = tuple(dict.fromkeys(
+    entry = dict.fromkeys(
         t for r in order for t in reqs[r][:2] if t not in pinned
-    ))
+    )
     cls = _twin_classes(tmpl)
     after: dict[int, int] = {}
     latest: dict[int, int] = {}  # the last member to enter, per class
@@ -508,7 +507,7 @@ def _search_plan(tmpl: Template, pinned: frozenset[int]) -> tuple[
     degrees = [
         incident[t] for t in range(tmpl.num_terminals) if t not in pinned
     ] + [2] * (size - len(reqs))
-    return (incident, tuple(order), entry, after,
+    return (incident, tuple(order), after,
             size, len(degrees), min(degrees, default=0))
 
 
@@ -535,10 +534,11 @@ def _template_search(
     degrees of the host plus that edge.
 
     Requirements are routed in `_requirement_order`; a requirement with a
-    new end tries its images in ascending vertex order.  Terminals enter in
-    that order, `a` before `b`, and within each twin class (see
-    `_twin_classes`) a terminal's image must exceed the image of the
-    twin that entered just before it.  Candidates ascend, so the mirror of
+    new end tries its images in ascending vertex order, among the unused
+    vertices whose degree reaches the terminal's requirement count.
+    Terminals enter in that order, `a` before `b`, and within each twin
+    class (see `_twin_classes`) a terminal's candidates start one past the
+    image of the twin that entered just before it.  So the mirror of
     an embedding that breaks this order lies in an earlier, exhaustively
     searched sibling branch, and a swap of two unpinned twins fixes the
     pins.  Up to s!·t! times fewer nodes for K_{s,t}^k.
@@ -551,13 +551,15 @@ def _template_search(
     table and is deferred: its middle is a common neighbour of its ends
     that no terminal image or longer path uses, and the middles must be
     distinct, which is a bipartite matching (the all-different filter of
-    Régin, 1994).  The deferred requirements keep one matching, grown by
-    an augmenting path (`augment`) per requirement; a vertex that a new
-    terminal or a longer path takes from it sends its requirement down
-    another one.  When either finds none, no embedding extends the branch.
+    Régin, 1994).  The matching lives in `owner` alone (middle to
+    requirement) and grows by an augmenting path (`augment`) per
+    requirement, which moves every middle along the path at once; a vertex
+    that a new terminal or a longer path takes from it sends its
+    requirement down another one.  When either finds none, no embedding
+    extends the branch.
     A new `b` needs a neighbour of `a`'s image that no terminal image or
     longer path uses.  The leaf reads the paths of length 1 and 2 off the
-    terminal images and the matching.
+    terminal images and the inverted matching.
 
     Without length-2 requirements the first embedding is the unordered
     search's, in at most as many budget ticks.  With them, the images and
@@ -573,28 +575,24 @@ def _template_search(
     """
     reqs = tmpl.requirements
     pins = pins or {}
-    incident, order, entry, after, size, need, low = _search_plan(
+    incident, order, after, size, need, low = _search_plan(
         tmpl, frozenset(pins))
-    room = sum(len(ns) >= low for ns in adj)
-    room -= sum(len(adj[x]) >= low for x in pins.values())  # taken by pins
+    deg = [len(ns) for ns in adj]
+    room = sum(d >= low for d in deg)
+    room -= sum(deg[x] >= low for x in pins.values())  # taken by pins
     if (
-        2 * size > sum(map(len, adj))  # degrees sum to twice the edges
+        2 * size > sum(deg)  # degrees sum to twice the edges
         or need > room
-        or any(len(adj[x]) < incident[t] for t, x in pins.items())
+        or any(deg[x] < incident[t] for t, x in pins.items())
     ):
         return None
-    pool = {
-        t: [x for x in range(len(adj)) if len(adj[x]) >= incident[t]]
-        for t in entry
-    }
 
     img = dict(pins)
     # terminal images and the interiors of paths longer than 2; the middles
     # of length-2 paths are in `owner` instead
     used = dict.fromkeys(pins.values(), True)
     paths: dict[int, tuple[int, ...]] = {}  # longer than 2 until the leaf
-    mate: dict[int, int | None] = {}  # deferred requirement -> its middle
-    owner: dict[int, int | None] = {}  # middle -> its deferred requirement
+    owner: dict[int, int | None] = {}  # the matching: middle -> requirement
     trail: list[tuple[dict, int, object]] = []  # (dict, key, old value)
 
     def put(d: dict, k: int, v: object) -> None:
@@ -617,7 +615,8 @@ def _template_search(
         them.
         """
         seen: set[int] = set()
-        stack = []  # (requirement, its middles not yet tried)
+        # [requirement, its middles not yet tried, the one it moves to]
+        stack: list[list] = []
         q = r
         while True:
             a, b, _ = reqs[q]
@@ -625,20 +624,18 @@ def _template_search(
             held = []
             for m in adj[img[a]]:
                 if m in near and m not in used:
-                    if owner.get(m) is None:  # shift the path's middles
-                        while True:
-                            old = mate.get(q)
-                            put(mate, q, m)
+                    if owner.get(m) is None:  # move the path's middles
+                        put(owner, m, q)
+                        for q, _, m in reversed(stack):
                             put(owner, m, q)
-                            if not stack:
-                                return True
-                            q, m = stack.pop()[0], old
+                        return True
                     held.append(m)
-            stack.append((q, iter(held)))
+            stack.append([q, iter(held), None])
             while stack:
                 m = next((m for m in stack[-1][1] if m not in seen), None)
                 if m is not None:
                     seen.add(m)
+                    stack[-1][2] = m
                     q = owner[m]
                     break
                 stack.pop()
@@ -652,7 +649,6 @@ def _template_search(
         if r is None:
             return True
         put(owner, x, None)
-        put(mate, r, None)
         return augment(r)
 
     def shared(x: int) -> set[int]:
@@ -660,10 +656,11 @@ def _template_search(
         return {y for m in adj[x] if m not in used for y in adj[m]}
 
     def candidates(term: int) -> list[int]:
-        xs = pool[term]
-        if term in after:
-            xs = xs[bisect_right(xs, img[after[term]]):]
-        return [x for x in xs if x not in used]
+        """Unused vertices past term's twin, of degree >= incident[term]."""
+        first = img[after[term]] + 1 if term in after else 0
+        least = incident[term]
+        return [x for x in range(first, len(adj))
+                if deg[x] >= least and x not in used]
 
     def branches(pos: int):
         """Route requirement order[pos] each way in turn: apply the route,
@@ -736,11 +733,12 @@ def _template_search(
                 return None
         if budget is not None:
             budget.tick()
+    middle = {r: m for m, r in owner.items() if r is not None}
     for r, (a, b, length) in enumerate(reqs):  # every routed one holds
         if length == 1:
             paths[r] = (img[a], img[b])
         elif length == 2:
-            paths[r] = (img[a], mate[r], img[b])
+            paths[r] = (img[a], middle[r], img[b])
     # every embedding covers the same number of vertices, so when too few
     # are left here, none is left in any other embedding either
     loose = [t for t in range(tmpl.num_terminals) if t not in img]
@@ -1007,7 +1005,8 @@ def hill_climb_free(
     check = _EdgeCheck(desc)
     best: Graph | None = None
     tests = 0
-    while best is None or tests < iterations:
+    # with one vertex no run tests a pair, so one run settles it
+    while best is None or (n > 1 and tests < iterations):
         check.start(Graph(n, frozenset()))
         kept = []
         candidates = list(combinations(range(n), 2))

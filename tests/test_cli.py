@@ -35,6 +35,22 @@ def write_graph(tmp_path, g, name="g.txt"):
     return str(p)
 
 
+def run_python(*args, timeout=60, **kwargs):
+    """Run the interpreter on `args` with this package importable; a call
+    that hangs fails the test at `timeout` seconds instead of hanging it.
+    `kwargs` go to `subprocess.run`."""
+    src = str(Path(spidersearch.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env, timeout=timeout, **kwargs)
+
+
+_MAIN = ("import sys; from spidersearch.cli import main; "
+         "sys.exit(main(sys.argv[1:]))")
+
+
 class TestGen:
     def test_kst(self, capsys):
         code, out, _ = run(capsys, "gen", "--kind", "kst", "--s", "2", "--t", "3")
@@ -55,6 +71,22 @@ class TestGen:
         b = run(capsys, "gen", "--kind", "random", "--n", "20", "--m", "30",
                 "--seed", "5")
         assert a == b
+
+    def test_random_sparse_on_many_vertices(self):
+        # 10 edges among 10^5 vertices, without listing all 5·10^9 pairs;
+        # the address-space cap turns a pair list into a MemoryError
+        resource = pytest.importorskip("resource")
+        cap = 2 << 30
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+        proc = run_python("-c", _MAIN, "gen", "--kind", "random",
+                          "--n", "100000", "--m", "10", timeout=30,
+                          preexec_fn=limit)
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert lines[0] == "100000 10" and len(lines) == 11
 
     def test_missing_params_exit_2(self, capsys):
         code, _, err = run(capsys, "gen", "--kind", "random")
@@ -381,6 +413,35 @@ class TestOracle:
         assert code == 0 and Graph.load(out).m == 21
 
 
+class TestOneVertex:
+    """One vertex has no pair to test, so hill climbing answers its empty
+    graph after one run; a timeout fails a run that never ends."""
+
+    def test_hill_climb_free(self):
+        proc = run_python("-c", "from spidersearch.graph import Graph\n"
+                          "from spidersearch.oracle import hill_climb_free\n"
+                          "from spidersearch.patterns import parse_pattern\n"
+                          "g = hill_climb_free(1, parse_pattern('kst:2,2'), "
+                          "100, 0)\n"
+                          "print(g == Graph(1, frozenset()))", timeout=30)
+        assert (proc.returncode, proc.stdout) == (0, "True\n"), proc.stderr
+
+    def test_hillclimb(self):
+        proc = run_python("-c", _MAIN, "oracle", "hillclimb", "--n", "1",
+                          "--pattern", "kst:2,2", timeout=30)
+        assert (proc.returncode, proc.stdout) == (0, "1 0\n"), proc.stderr
+
+    @pytest.mark.parametrize("pattern", ["kst:2,2", "kst:2,2^2"])
+    def test_sweep_from_one(self, pattern):
+        proc = run_python("-c", _MAIN, "sweep", "--pattern", pattern,
+                          "--n-range", "1:2", timeout=30)
+        assert proc.returncode == 0, proc.stderr
+        rows = [ln for ln in proc.stdout.splitlines()
+                if not ln.startswith("#")]
+        assert rows == ["n,seed,edges,verified,wall_ms",
+                        "1,0,0,1,0", "2,0,1,1,0"]
+
+
 class TestSweep:
     def test_csv(self, capsys):
         code, out, _ = run(capsys, "sweep", "--pattern", "cycle:8",
@@ -476,15 +537,8 @@ def test_witness_check_survives_optimize(tmp_path, argv, message):
     else:
         sabotage = _REJECT_ALL_WITNESSES
     host = write_graph(tmp_path, subdivide(complete_bipartite(2, 4), 2))
-    src = str(Path(spidersearch.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", _SABOTAGED_MAIN.format(sabotage=sabotage),
-         *argv, "--graph", host],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
+    proc = run_python("-O", "-c", _SABOTAGED_MAIN.format(sabotage=sabotage),
+                      *argv, "--graph", host)
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout == ""
     assert proc.stderr == f"error: {message}\n"

@@ -97,6 +97,15 @@ class TestGenerators:
     def test_random_deterministic(self):
         assert random_gnm(50, 100, seed=9) == random_gnm(50, 100, seed=9)
 
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 13, 30])
+    def test_random_samples_like_the_pair_list(self, n):
+        # the seeded graphs are those of sampling the list of all pairs
+        pairs = list(combinations(range(n), 2))
+        for seed in range(4):
+            for m in range(0, len(pairs) + 1, max(1, len(pairs) // 3)):
+                want = random.Random(seed).sample(pairs, m)
+                assert random_gnm(n, m, seed) == Graph.from_edges(n, want)
+
     def test_random_m_too_large(self):
         with pytest.raises(ValueError):
             random_gnm(4, 7, seed=0)

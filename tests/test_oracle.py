@@ -404,6 +404,26 @@ class TestTemplateSearchReference:
         adj = [h.neighbors(v) for v in h.vertices()]
         assert _template_search(adj, tmpl, None, {0: 0, 1: 1}) is None
 
+    @pytest.mark.parametrize("kind", [tuple, dict.fromkeys])
+    def test_two_step_augmenting_path(self, kind):
+        # requirement 2's only middle, vertex 4, is held by requirement 0,
+        # whose other middle, vertex 5, is held by requirement 1: both move
+        # along one augmenting path
+        tmpl = Template(6, ((0, 1, 2), (2, 3, 2), (4, 5, 2)))
+        pins = {0: 0, 1: 1, 2: 2, 3: 3, 4: 7, 5: 8}
+        g = Graph.from_edges(9, [(0, 4), (1, 4), (7, 4), (8, 4), (0, 5),
+                                 (1, 5), (2, 5), (3, 5), (2, 6), (3, 6)])
+        adj = [kind(g.neighbors(v)) for v in g.vertices()]
+        budget = SearchBudget().start()
+        img, paths = _template_search(adj, tmpl, budget, pins)
+        assert img == pins
+        assert paths == {0: (0, 5, 1), 1: (2, 6, 3), 2: (7, 4, 8)}
+        assert budget.nodes == 4
+        # without edge 3-6, requirement 1 has no middle but vertex 5
+        h = Graph(g.n, g.edges - {(3, 6)})
+        adj = [kind(h.neighbors(v)) for v in h.vertices()]
+        assert _template_search(adj, tmpl, None, pins) is None
+
 
 class TestCycleRoute:
     """`contains` finds a cycle-shaped pattern by the edge check's path walk
