@@ -58,13 +58,6 @@ def _parse_lv(text: str) -> tuple[int, ...]:
         raise ValueError(f"cannot parse length vector {text!r}") from None
 
 
-def _budget(args) -> SearchBudget | None:
-    """The --node-limit budget; 0 and negative limits are rejected."""
-    if args.node_limit is None:
-        return None
-    return SearchBudget(node_limit=args.node_limit)
-
-
 def _emit(text: str, out: str | None, quiet: bool) -> None:
     if out:
         Path(out).write_text(text)
@@ -268,7 +261,7 @@ def _cmd_find(args) -> int:
     desc = parse_pattern(args.pattern)
     check_L(args.L)  # on every route, not only where refinement reads it
     thr = Thresholds.parse(args.threshold, args.L)
-    budget = _budget(args)
+    budget = SearchBudget(args.node_limit)
     if desc.kind == "kst" and desc.s >= 2 and desc.t >= 2 and desc.subdivision >= 2:
         report = find_kstk(
             g, desc.s, desc.t, desc.subdivision, thr, args.L, budget
@@ -295,8 +288,7 @@ def _cmd_oracle(args) -> int:
     if args.oracle_command == "contains":
         g = _load_graph(args.graph)
         desc = parse_pattern(args.pattern)
-        budget = _budget(args)
-        res = contains(g, desc, budget)
+        res = contains(g, desc, SearchBudget(args.node_limit))
         if res.status == "found":
             _emit(res.witness.to_json(), args.out, args.quiet)
             return 0
@@ -304,8 +296,7 @@ def _cmd_oracle(args) -> int:
         return 1
     if args.oracle_command == "extremal":
         desc = parse_pattern(args.pattern)
-        budget = _budget(args)
-        res = extremal_number(args.n, desc, budget)
+        res = extremal_number(args.n, desc, SearchBudget(args.node_limit))
         payload = {
             "n": res.n,
             "pattern": str(res.pattern),

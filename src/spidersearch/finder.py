@@ -363,8 +363,6 @@ def assemble_blowup(
         raise ValueError("t must be >= 1")
     if not fam.members:
         raise ConstructionFailure("assemble", "empty family", rounds_completed=0)
-    if sum(1 for l in fam.lv if l == 1) > 1:
-        raise ValueError("at most one leg of length 1 is supported")
     gamma0 = _gamma_schedule(fam.lv, targets)[0]
     r0 = spider_layout(fam.lv).truncations[gamma0](fam.members[0])
     roots = _truncated_leaf(fam.lv, gamma0)(r0)

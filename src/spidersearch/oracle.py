@@ -187,19 +187,19 @@ def _walk_paths(
     v: int,
     length: int,
     dist: list[int],
-    budget: SearchBudget | None = None,
+    budget: SearchBudget,
 ):
     """Generator over the simple u-v paths with exactly `length` edges, in
     depth-first order: each vertex's neighbours in the order `adj` lists
     them.  `dist` is `_distances_to(adj, v, length, forbidden)`; it puts
     every forbidden vertex out of range, so no path passes through one.
     Iterative, so the path length is not bounded by the recursion limit;
-    one budget tick per node of the search tree.
+    one tick of `budget` per node of the search tree (the edge check
+    passes its own unlimited budget, `contains` the caller's).
     """
     if dist[u] > length:
         return
-    if budget is not None:
-        budget.tick()
+    budget.tick()
     path = [u]
     on_path = {u}
     stack = [iter(adj[u])]
@@ -213,8 +213,7 @@ def _walk_paths(
                     continue
             elif dist[y] > rem:
                 continue
-            if budget is not None:
-                budget.tick()
+            budget.tick()
             if not rem:
                 yield (*path, v)
                 continue
@@ -243,6 +242,9 @@ class _EdgeCheck:
     orientations, and `_template_search` routes the rest of the copy with
     those two images pinned.  A copy it finds is spliced back into a
     witness of the whole pattern and verified on the graph plus (u, v).
+
+    Both searches tick the check's own unlimited `SearchBudget`, made anew
+    by `start`: a creation test always runs to its answer.
     """
 
     def __init__(self, desc: PatternDescriptor) -> None:
@@ -256,6 +258,7 @@ class _EdgeCheck:
         """Follow G from here on, forgetting any earlier graph."""
         self.adj = [set(G.neighbors(v)) for v in G.vertices()]
         self.tables: dict[int, list[int]] = {}
+        self.budget = SearchBudget()
         return self
 
     def creates(self, u: int, v: int) -> bool:
@@ -264,10 +267,10 @@ class _EdgeCheck:
         # search towards an endpoint that already has a table
         if u in self.tables and v not in self.tables:
             u, v = v, u
-        return self.path(u, v) is not None
+        return self.path(u, v, self.budget) is not None
 
     def path(
-        self, u: int, v: int, budget: SearchBudget | None = None
+        self, u: int, v: int, budget: SearchBudget
     ) -> tuple[int, ...] | None:
         """The first u-v path with M-1 edges in `_walk_paths` order, or
         None, pruned by the distance table to v."""
@@ -282,7 +285,7 @@ class _EdgeCheck:
         for anchor in self.anchors:
             anchored, _, x, y = anchor
             for pins in ({x: u, y: v}, {x: v, y: u}):
-                sol = _template_search(self.adj, anchored, None, pins)
+                sol = _template_search(self.adj, anchored, self.budget, pins)
                 if sol is not None:
                     self._verify(u, v, anchor, *sol)
                     return True
@@ -409,8 +412,7 @@ class ContainmentResult:
 
 
 def _cycle_embedding(
-    G: Graph, desc: PatternDescriptor, tmpl: Template,
-    budget: SearchBudget | None,
+    G: Graph, desc: PatternDescriptor, tmpl: Template, budget: SearchBudget,
 ) -> tuple[dict[int, int], list[tuple[int, ...]]] | None:
     """The first cycle of the pattern's length in G as terminal images and
     host paths, or None (exhaustive).  The check follows G as its edges
@@ -514,7 +516,7 @@ def _search_plan(tmpl: Template, pinned: frozenset[int]) -> tuple[
 def _template_search(
     adj: Sequence[Collection[int]],
     tmpl: Template,
-    budget: SearchBudget | None,
+    budget: SearchBudget,
     pins: dict[int, int] | None = None,
 ) -> tuple[dict[int, int], dict[int, tuple[int, ...]]] | None:
     """The first embedding of the template in the host with adjacency
@@ -570,8 +572,9 @@ def _template_search(
     per routed requirement (`branches`), so the requirement count is not
     bounded by the recursion limit; every change to the images, the used
     vertices, the longer paths and the matching is undone from one trail.
-    One budget tick per search node and per `_walk_paths` node; terminals
-    that no requirement touches take the smallest unused vertices last.
+    One tick of `budget` per search node and per `_walk_paths` node (the
+    edge check ticks its own unlimited budget); terminals that no
+    requirement touches take the smallest unused vertices last.
     """
     reqs = tmpl.requirements
     pins = pins or {}
@@ -722,8 +725,7 @@ def _template_search(
                 undo(at_a)
             undo(start)
 
-    if budget is not None:
-        budget.tick()
+    budget.tick()
     stack = []  # one branch generator per routed requirement
     while len(stack) < len(order):
         stack.append(branches(len(stack)))
@@ -731,8 +733,7 @@ def _template_search(
             stack.pop()
             if not stack:
                 return None
-        if budget is not None:
-            budget.tick()
+        budget.tick()
     middle = {r: m for m, r in owner.items() if r is not None}
     for r, (a, b, length) in enumerate(reqs):  # every routed one holds
         if length == 1:
@@ -769,9 +770,12 @@ def contains(
     differs case by case (far fewer in total).  The search reads G as one
     dict of neighbours per vertex, ascending like `G.neighbors` and hashed
     like a set.  Either route's embedding is verified.
+
+    `nodes` is the search's node count on every outcome, with or without a
+    `budget`; without one the search is unlimited (the edge check ticks
+    its own unlimited budget the same way).
     """
-    if budget is not None:
-        budget.start()
+    budget = (budget or SearchBudget()).start()
     tmpl = compile_template(desc)
     M = as_cycle_length(desc)
     try:
@@ -781,15 +785,14 @@ def contains(
             adj = [dict.fromkeys(G.neighbors(v)) for v in G.vertices()]
             sol = _template_search(adj, tmpl, budget)
     except BudgetExhausted:
-        return ContainmentResult("budget", nodes=budget.nodes if budget else 0)
-    nodes = budget.nodes if budget else 0
+        return ContainmentResult("budget", nodes=budget.nodes)
     if sol is None:
-        return ContainmentResult("absent", nodes=nodes)
+        return ContainmentResult("absent", nodes=budget.nodes)
     w = _witness(desc, tmpl, *sol)
     if not verify_embedding(G, w):
         route = "cycle" if M is not None else "search"
         raise RuntimeError(f"{route} witness failed verification")
-    return ContainmentResult("found", w, nodes=nodes)
+    return ContainmentResult("found", w, nodes=budget.nodes)
 
 
 def is_pattern_free(G: Graph, desc: PatternDescriptor) -> bool:

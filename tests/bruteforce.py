@@ -267,7 +267,7 @@ def _iter_exact_paths(
     if length == 1:
         return iter(((u, v),) if v in adj[u] else ())
     dist = _distances_to(adj, v, length, forbidden)
-    return _walk_paths(adj, u, v, length, dist, budget)
+    return _walk_paths(adj, u, v, length, dist, budget or SearchBudget())
 
 
 def reference_template_search(
@@ -411,7 +411,10 @@ def reference_find_cycle(
         adj[u].discard(v)
         adj[v].discard(u)
         dist = _distances_to(adj, v, length - 1, set())
-        p = next(_walk_paths(adj, u, v, length - 1, dist, budget), None)
+        p = next(
+            _walk_paths(adj, u, v, length - 1, dist, budget or SearchBudget()),
+            None,
+        )
         if p is not None:
             return p
     return None

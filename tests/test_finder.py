@@ -23,6 +23,7 @@ from spidersearch.goodness import Thresholds, classify_paths, classify_spiders
 from spidersearch.graph import (
     Graph,
     complete_bipartite,
+    complete_graph,
     cycle_graph,
     random_gnm,
     subdivide,
@@ -360,6 +361,15 @@ class TestAssemble:
         fam = SpiderFamily((), (), 1, 1, Thresholds.constant(0))
         with pytest.raises(ConstructionFailure):
             assemble_blowup(cycle_graph(4), fam, (2, 2), 1)
+
+    def test_two_unit_legs_rejected(self):
+        # build_paths rejects the family in round 0, before any state
+        g = complete_graph(6)
+        fam = SpiderFamily((1, 1), tuple(sorted(enumerate_spiders(g, (1, 1)))),
+                           1, 1, Thresholds.constant(0))
+        with pytest.raises(ValueError,
+                           match="at most one leg of length 1 is supported"):
+            assemble_blowup(g, fam, (2, 2), 1)
 
 
 class TestFindKstk:

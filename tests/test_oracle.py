@@ -274,7 +274,7 @@ class TestContains:
         g = path_graph(1499)
         adj = [g.neighbors(v) for v in g.vertices()]
         dist = _distances_to(adj, 1499, 1499, set())
-        paths = list(_walk_paths(adj, 0, 1499, 1499, dist))
+        paths = list(_walk_paths(adj, 0, 1499, 1499, dist, SearchBudget()))
         assert paths == [tuple(range(1500))]
 
 
@@ -390,7 +390,7 @@ class TestTemplateSearchReference:
         g = Graph.from_edges(5, [(0, 2), (1, 2), (0, 3), (1, 3), (2, 4),
                                  (1, 4)])
         adj = [g.neighbors(v) for v in g.vertices()]
-        img, paths = _template_search(adj, tmpl, None, {0: 0, 1: 1})
+        img, paths = _template_search(adj, tmpl, SearchBudget(), {0: 0, 1: 1})
         assert paths[0] == (0, 3, 1)
         if length == 3:
             assert paths[1] == (0, 2, 4, 1)
@@ -402,7 +402,7 @@ class TestTemplateSearchReference:
         blocked = {(1, 3)} if length == 3 else {(1, 3), (1, 4)}
         h = Graph(g.n, g.edges - blocked)
         adj = [h.neighbors(v) for v in h.vertices()]
-        assert _template_search(adj, tmpl, None, {0: 0, 1: 1}) is None
+        assert _template_search(adj, tmpl, SearchBudget(), {0: 0, 1: 1}) is None
 
     @pytest.mark.parametrize("kind", [tuple, dict.fromkeys])
     def test_two_step_augmenting_path(self, kind):
@@ -422,7 +422,7 @@ class TestTemplateSearchReference:
         # without edge 3-6, requirement 1 has no middle but vertex 5
         h = Graph(g.n, g.edges - {(3, 6)})
         adj = [kind(h.neighbors(v)) for v in h.vertices()]
-        assert _template_search(adj, tmpl, None, pins) is None
+        assert _template_search(adj, tmpl, SearchBudget(), pins) is None
 
 
 class TestCycleRoute:
@@ -482,6 +482,33 @@ class TestCycleRoute:
                         g, text, limit)
                     statuses.add(want[0])
         assert statuses == {"found", "absent", "budget"}
+
+
+class TestNodeCount:
+    """`contains` reports its search's node count with or without a
+    budget, and a `--node-limit` of exactly that count suffices."""
+
+    CASES = (
+        (cycle_graph(8), "cycle:8", "found"),  # cycle route
+        (subdivide(complete_bipartite(2, 3), 2), "kst:2,3^2", "found"),
+        # C8-free, so absent (kst:2,3^2 contains C8); edge-maximal, so it
+        # passes the size gate and the search runs
+        (hill_climb_free(12, parse_pattern("cycle:8"), 40, 0), "kst:2,3^2",
+         "absent"),
+    )
+
+    @pytest.mark.parametrize("g, pattern, status", CASES,
+                             ids=["cycle-route", "template-found",
+                                  "template-absent"])
+    def test_unbudgeted_count_is_the_budgeted_one(self, g, pattern, status):
+        desc = parse_pattern(pattern)
+        res = contains(g, desc)
+        assert res.status == status
+        assert res.nodes == contains(g, desc, SearchBudget()).nodes > 0
+        exact = contains(g, desc, SearchBudget(res.nodes))
+        assert (exact.status, exact.witness) == (res.status, res.witness)
+        short = contains(g, desc, SearchBudget(res.nodes - 1))
+        assert short.status == "budget"
 
 
 class TestIsomorphism:
@@ -900,7 +927,7 @@ class TestEdgeCheck:
                 g = Graph(n, g.edges - {(u, v)})
                 assert_tables_fresh()
                 if check.M is not None:
-                    check.path(u, v)
+                    check.path(u, v, SearchBudget())
             assert check.adj == [set() for _ in range(n)]
 
 
