@@ -31,7 +31,6 @@ from .goodness import (
     not_good_ratio,
 )
 from .regularize import (
-    RegularizeParams,
     extract_almost_regular,
     is_almost_regular,
 )
@@ -41,7 +40,6 @@ from .finder import (
     assemble_blowup,
     build_paths,
     connect_paths,
-    disjoint_representatives,
     find_kstk,
     refine_family,
 )

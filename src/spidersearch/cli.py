@@ -42,7 +42,7 @@ from .oracle import (
     hill_climb_free,
 )
 from .patterns import parse_pattern
-from .regularize import RegularizeParams, extract_almost_regular
+from .regularize import extract_almost_regular
 from .spiders import enumerate_spiders, spider_layout
 from .sweep import SweepConfig, run_sweep
 
@@ -184,9 +184,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_regularize(args) -> int:
     g = _load_graph(args.graph)
-    rep = extract_almost_regular(
-        g, RegularizeParams(epsilon=args.epsilon)
-    )
+    rep = extract_almost_regular(g, args.epsilon)
     lines = [
         f"m={rep.m}",
         f"e={rep.subgraph.m}",
@@ -249,7 +247,7 @@ def _cmd_classify(args) -> int:
         "graph": args.graph,
         "k": args.k,
         "L": args.L,
-        "threshold": thr.describe(),
+        "threshold": thr.spelling,
         "lv": args.lv,
     }
     _emit(_report("classify", params, payload), args.out, args.quiet)

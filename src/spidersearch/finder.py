@@ -20,7 +20,7 @@ from typing import Callable, Iterable
 from .goodness import Thresholds, check_L, classify_paths, classify_spiders
 from .graph import Graph
 from .oracle import ContainmentResult, SearchBudget, Witness, contains, verify_embedding
-from .patterns import PatternDescriptor, kst_pattern, spider_blowup_pattern
+from .patterns import PatternDescriptor, kst_pattern
 from .spiders import FlatSpider, spider_layout
 
 
@@ -136,47 +136,13 @@ def refine_family(
     return fam
 
 
-# -- disjoint representatives --------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DisjointReps:
-    spiders: tuple[FlatSpider, ...]
-    shortfall: bool
-
-
-def disjoint_representatives(
-    fam: SpiderFamily, leaf: tuple[int, ...], quota: int
-) -> DisjointReps:
-    """Greedy maximal set of members with the given leaf vector that are
-    pairwise vertex-disjoint apart from their leaves, in sorted order;
-    stops at the quota.
-    """
-    if quota < 0:
-        raise ValueError("quota must be >= 0")
-    leaf_set = set(leaf)
-    kept: list[FlatSpider] = []
-    kept_vs: set[int] = set()
-    for sp in fam.with_leaf(leaf):
-        if len(kept) >= quota:
-            break
-        vs = set(sp)
-        if (vs & kept_vs) <= leaf_set:
-            kept.append(sp)
-            kept_vs |= vs
-    return DisjointReps(tuple(kept), shortfall=len(kept) < quota)
-
-
 # -- the chain ------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class BuildResult:
     paths: tuple[tuple[int, ...], ...]  # path i runs v_i .. w_i
-    start_leaves: tuple[int, ...]
     end_leaves: tuple[int, ...]
-    s_chain: tuple[FlatSpider, ...]
-    t_chain: tuple[FlatSpider, ...]
 
 
 def _gamma_schedule(
@@ -246,8 +212,6 @@ def build_paths(
     J = last + 1
 
     grid: list[tuple[int, ...]] = [start]
-    s_chain: list[FlatSpider] = []
-    t_chain: list[FlatSpider] = []
     r_prev = r0
     used: set[int] = set()
 
@@ -267,7 +231,6 @@ def build_paths(
             raise ConstructionFailure(
                 f"S_{j}", "no family member extends the current stub cleanly"
             )
-        s_chain.append(s_j)
         used |= set(s_j)
         grid.append(layout.leaf(s_j))
 
@@ -284,7 +247,6 @@ def build_paths(
                 raise ConstructionFailure(
                     f"T_{j}", "no disjoint member shares the leaf vector"
                 )
-            t_chain.append(t_j)
             used |= set(t_j)
             r_prev = layout.truncations[cols[j]](t_j)
             grid.append(_truncated_leaf(lv, cols[j])(r_prev))
@@ -315,14 +277,7 @@ def build_paths(
                     "paths", f"paths {i} and {j} intersect"
                 )
 
-    end = grid[-1]
-    return BuildResult(
-        paths=tuple(paths),
-        start_leaves=start,
-        end_leaves=end,
-        s_chain=tuple(s_chain),
-        t_chain=tuple(t_chain),
-    )
+    return BuildResult(paths=tuple(paths), end_leaves=grid[-1])
 
 
 def connect_paths(
@@ -354,10 +309,11 @@ def assemble_blowup(
     fam: SpiderFamily,
     targets: tuple[int, ...],
     t: int,
-    desc: PatternDescriptor | None = None,
+    desc: PatternDescriptor,
 ) -> Witness:
     """Repeatedly build+connect to collect t spiders with one shared leaf
-    vector, disjoint elsewhere; their union is the rooted t-blowup.
+    vector, disjoint elsewhere; their union is the rooted t-blowup, which
+    the witness names `desc`.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
@@ -383,8 +339,6 @@ def assemble_blowup(
         legs_done.append(sp)
         Z |= set(sp) - set(roots)
 
-    if desc is None:
-        desc = spider_blowup_pattern(targets, t)
     w = Witness(
         pattern=desc,
         terminals=roots + tuple(sp[0] for sp in legs_done),

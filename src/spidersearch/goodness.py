@@ -98,10 +98,10 @@ class Thresholds:
         return cls(lambda ell: value, f"const:{value}")
 
     @classmethod
-    def custom(cls, table: dict[int, int]) -> "Thresholds":
-        """f(ell) = table[ell], for a table giving f(1), ..., f(n)."""
-        values = [table.get(ell) for ell in range(1, len(table) + 1)]
-        if not values or None in values:
+    def custom(cls, values: list[int]) -> "Thresholds":
+        """f(ell) = values[ell - 1], for the values f(1), ..., f(n)."""
+        values = tuple(values)
+        if not values:
             raise ValueError("custom thresholds must give f(1), ..., f(n)")
         if any(v < 0 for v in values):
             raise ValueError("custom thresholds must be >= 0")
@@ -128,12 +128,9 @@ class Thresholds:
         if mode == "const" and len(values) == 1:
             return cls.constant(values[0])
         if mode == "custom" and values:
-            return cls.custom(dict(enumerate(values, 1)))
+            return cls.custom(values)
         raise ValueError(f"unknown threshold mode {text!r} "
                          "(use paper, const:N or custom:a,b,...)")
-
-    def describe(self) -> str:
-        return self.spelling
 
 
 def canonical_path(path: Path) -> Path:
@@ -180,11 +177,7 @@ _ends = itemgetter(0, -1)
 @dataclass
 class PathClassification:
     k: int
-    thresholds: Thresholds
     levels: dict[int, Level]
-
-    def is_good(self, path: Path) -> bool:
-        return canonical_path(path) in self.levels[len(path) - 1].good
 
 
 def classify_paths(G: Graph, k: int, thresholds: Thresholds) -> PathClassification:
@@ -210,7 +203,7 @@ def classify_paths(G: Graph, k: int, thresholds: Thresholds) -> PathClassificati
                     and canonical_path(p[1:]) in prev_good):
                 admissible.add(p)
         levels[ell] = _classify_level(admissible, total, _ends, bound)
-    return PathClassification(k=k, thresholds=thresholds, levels=levels)
+    return PathClassification(k=k, levels=levels)
 
 
 @dataclass
@@ -218,8 +211,6 @@ class SpiderClassification:
     """Spider levels; `admissible` and `good` hold flat spiders in the
     layout `spider_layout(vec)` of their vector."""
 
-    lv: tuple[int, ...]
-    thresholds: Thresholds
     levels: dict[tuple[int, ...], Level]
 
     def not_good_admissible(self, lv: tuple[int, ...]) -> set[FlatSpider]:
@@ -325,7 +316,7 @@ def classify_spiders(
         else:
             admissible, total = _extend_level(G, vec, levels, good_paths)
         levels[vec] = _classify_level(admissible, total, layout.leaf, bound)
-    return SpiderClassification(lv=lv, thresholds=thresholds, levels=levels)
+    return SpiderClassification(levels=levels)
 
 
 def not_good_ratio(

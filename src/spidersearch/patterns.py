@@ -111,7 +111,7 @@ def parse_pattern(text: str) -> PatternDescriptor:
     if kind == "arbitrary":
         nstr, _, pairs = args.partition(":")
         n = num(nstr)
-        edges = []
+        edges = set()
         for pair in pairs.split(";"):
             a, _, b = pair.partition("-")
             u, v = num(a), num(b)
@@ -121,13 +121,16 @@ def parse_pattern(text: str) -> PatternDescriptor:
                 raise ValueError(
                     f"pattern edge {pair} leaves the vertex range 0..{n - 1}"
                 )
-            edges.append((u, v))
+            e = (min(u, v), max(u, v))
+            if e in edges:
+                raise ValueError(f"pattern edge {pair} repeats an earlier edge")
+            edges.add(e)
         if blow is not None:
             raise ValueError("blowup modifier applies to spider patterns only")
         return PatternDescriptor(
             kind="arbitrary",
             num_vertices=n,
-            edge_list=tuple(sorted(tuple(sorted(e)) for e in edges)),
+            edge_list=tuple(sorted(edges)),
             subdivision=k,
         )
     raise ValueError(f"unknown pattern kind {kind!r}")
@@ -135,10 +138,6 @@ def parse_pattern(text: str) -> PatternDescriptor:
 
 def kst_pattern(s: int, t: int, k: int = 1) -> PatternDescriptor:
     return parse_pattern(f"kst:{s},{t}^{k}" if k != 1 else f"kst:{s},{t}")
-
-
-def spider_blowup_pattern(legs: tuple[int, ...], t: int) -> PatternDescriptor:
-    return PatternDescriptor(kind="spider", legs=legs, blowup=t)
 
 
 @lru_cache(maxsize=_SHAPE_CACHE_SIZE)

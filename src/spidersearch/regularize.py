@@ -35,15 +35,6 @@ def theoretical_K(epsilon: float) -> float:
 
 
 @dataclass(frozen=True)
-class RegularizeParams:
-    epsilon: float
-
-    def __post_init__(self) -> None:
-        if not (0 < self.epsilon < 1):
-            raise ValueError("epsilon must be in (0,1)")
-
-
-@dataclass(frozen=True)
 class RegularizeReport:
     subgraph: Graph
     vertices: tuple[int, ...]  # original ids, sorted
@@ -51,7 +42,6 @@ class RegularizeReport:
     achieved_K: float
     edge_exponent: float
     theoretical_K: float
-    params: RegularizeParams
 
 
 def _achieved_K(G: Graph) -> float:
@@ -86,8 +76,11 @@ def _peel(G: Graph) -> list[int]:
     return sorted(alive)
 
 
-def extract_almost_regular(G: Graph, params: RegularizeParams) -> RegularizeReport:
-    """Return the best-scoring dyadic-band candidate as an induced subgraph."""
+def extract_almost_regular(G: Graph, epsilon: float) -> RegularizeReport:
+    """Return the best-scoring dyadic-band candidate as an induced subgraph,
+    for 0 < epsilon < 1."""
+    if not (0 < epsilon < 1):
+        raise ValueError("epsilon must be in (0,1)")
     if G.n < 1:
         raise ValueError("graph must be nonempty")
     survivors = _peel(G)
@@ -111,7 +104,7 @@ def extract_almost_regular(G: Graph, params: RegularizeParams) -> RegularizeRepo
         # edgeless input: the peeled graph is the only candidate
         candidates.append(tuple(survivors))
 
-    exponent = 1.0 + params.epsilon
+    exponent = 1.0 + epsilon
 
     def score(vs: tuple[int, ...]) -> float:
         g, _ = G.induced(vs)
@@ -128,6 +121,5 @@ def extract_almost_regular(G: Graph, params: RegularizeParams) -> RegularizeRepo
         m=bg.n,
         achieved_K=_achieved_K(bg),
         edge_exponent=edge_exp,
-        theoretical_K=theoretical_K(params.epsilon),
-        params=params,
+        theoretical_K=theoretical_K(epsilon),
     )

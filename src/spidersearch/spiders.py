@@ -60,21 +60,6 @@ def spider_layout(lv: tuple[int, ...]) -> SpiderLayout:
     return SpiderLayout(legs, _picker(leaves), truncations)
 
 
-def validate_spider(G: Graph, sp: FlatSpider, lv: tuple[int, ...]) -> None:
-    """Check that `sp` is a spider of G with length vector lv: every leg
-    is a path of G out of the centre and no vertex appears twice."""
-    if len(sp) != 1 + sum(lv):
-        raise ValueError(f"{sp} is not a spider with length vector {lv}")
-    for a, b in spider_layout(lv).legs:
-        prev = sp[0]
-        for v in sp[a:b]:
-            if not G.has_edge(prev, v):
-                raise ValueError(f"missing edge ({prev},{v})")
-            prev = v
-    if len(set(sp)) != len(sp):
-        raise ValueError("spider repeats a vertex")
-
-
 def enumerate_spiders(G: Graph, lv: tuple[int, ...]) -> Iterator[FlatSpider]:
     """Yield every spider with length vector lv exactly once, in ascending
     order: centre first, then leg 1's vertices, then leg 2's, and so on.

@@ -107,8 +107,8 @@ class TestRegularize:
         code, out, _ = run(capsys, "regularize", "--graph", path,
                            "--epsilon", "0.5")
         assert code == 0
-        assert "achieved_K=1.000000" in out
-        assert "vertices=0,1,2,3,4,5,6,7" in out
+        assert out == ("m=8\ne=8\nachieved_K=1.000000\nexponent=0.000000\n"
+                       "theoretical_K=6.400000e+02\nvertices=0,1,2,3,4,5,6,7\n")
 
 
 class TestSpiders:
@@ -368,6 +368,9 @@ class TestOracle:
         ("arbitrary:2:1-1^3", "pattern edge 1-1 is a loop"),
         ("arbitrary:2:1-1", "pattern edge 1-1 is a loop"),
         ("arbitrary:2:0-5^2", "pattern edge 0-5 leaves the vertex range 0..1"),
+        # not Graph.from_edges' "duplicate edge (0, 1)", which names no pattern
+        ("arbitrary:2:0-1;0-1", "pattern edge 0-1 repeats an earlier edge"),
+        ("arbitrary:3:0-1;1-0", "pattern edge 1-0 repeats an earlier edge"),
         # a missing or extra number, not Python's own int() message
         *((text, f"cannot parse pattern {text!r}") for text in (
             "kst:2,", "spider:1,,2", "arbitrary:3:0-", "arbitrary:3:0-1-2",

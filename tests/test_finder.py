@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from bruteforce import brute_refine, unflatten
+from bruteforce import all_spiders, brute_refine, unflatten
 from conftest import criterion5_hosts
 from spidersearch import finder
 from spidersearch.finder import (
@@ -14,7 +14,6 @@ from spidersearch.finder import (
     assemble_blowup,
     build_paths,
     connect_paths,
-    disjoint_representatives,
     family_condition_violations,
     find_kstk,
     refine_family,
@@ -29,12 +28,8 @@ from spidersearch.graph import (
     subdivide,
 )
 from spidersearch.oracle import SearchBudget, contains, verify_embedding
-from spidersearch.patterns import kst_pattern
-from spidersearch.spiders import (
-    enumerate_spiders,
-    spider_layout,
-    validate_spider,
-)
+from spidersearch.patterns import kst_pattern, parse_pattern
+from spidersearch.spiders import enumerate_spiders, spider_layout
 
 
 def leaf_vector(sp, lv):
@@ -205,43 +200,6 @@ class TestRefineRounds:
                              L).members == want
 
 
-class TestDisjointReps:
-    def test_k2q_all_kept(self):
-        g = complete_bipartite(2, 5)
-        t0 = [sp for sp in enumerate_spiders(g, (1, 1))
-              if leaf_vector(sp, (1, 1)) == (0, 1)]
-        fam = SpiderFamily((1, 1), tuple(sorted(t0)), 1, 1,
-                           Thresholds.constant(0))
-        reps = disjoint_representatives(fam, (0, 1), quota=5)
-        assert len(reps.spiders) == 5 and not reps.shortfall
-        for i, a in enumerate(reps.spiders):
-            for b in reps.spiders[i + 1:]:
-                assert set(a) & set(b) <= {0, 1}
-
-    def test_quota_zero(self):
-        _, fam = k66_family()
-        leaf = leaf_vector(fam.members[0], fam.lv)
-        assert disjoint_representatives(fam, leaf, 0).spiders == ()
-
-    def test_shortfall(self):
-        g = complete_bipartite(2, 5)
-        t0 = [sp for sp in enumerate_spiders(g, (1, 1))
-              if leaf_vector(sp, (1, 1)) == (0, 1)]
-        fam = SpiderFamily((1, 1), tuple(sorted(t0)), 1, 1,
-                           Thresholds.constant(0))
-        reps = disjoint_representatives(fam, (0, 1), quota=9)
-        assert len(reps.spiders) == 5 and reps.shortfall
-
-    def test_internal_sharing_keeps_first(self):
-        members = (
-            (2, 0, 5, 1),
-            (3, 0, 5, 1),
-        )
-        fam = SpiderFamily((1, 2), members, 1, 1, Thresholds.constant(0))
-        reps = disjoint_representatives(fam, (0, 1), quota=2)
-        assert reps.spiders == (members[0],) and reps.shortfall
-
-
 class TestGammaSchedule:
     def test_identity(self):
         assert _gamma_schedule((2, 2), (2, 2)) == [(0, 0)]
@@ -263,7 +221,6 @@ class TestBuildPaths:
         leaf = leaf_vector(r0, (2, 2))
         assert res.paths == tuple((v,) for v in leaf)
         assert res.end_leaves == leaf
-        assert res.s_chain == () and res.t_chain == ()
 
     def test_two_unit_legs_rejected(self):
         g = complete_bipartite(2, 5)
@@ -325,8 +282,8 @@ class TestConnect:
         g, fam = k66_family()
         res = build_paths(fam, fam.members[0], set(), (2, 4))
         sp = connect_paths(fam, res, set())
-        assert leaf_vector(sp, (2, 4)) == res.start_leaves
-        validate_spider(g, sp, (2, 4))
+        assert leaf_vector(sp, (2, 4)) == leaf_vector(fam.members[0], (2, 2))
+        assert unflatten(sp, (2, 4)) in all_spiders(g, (2, 4))
 
     def test_blocked_by_z(self):
         _, fam = k66_family()
@@ -340,27 +297,31 @@ class TestConnect:
 class TestAssemble:
     def test_t1_single_spider_witness(self):
         g, fam = k66_family()
-        w = assemble_blowup(g, fam, (2, 2), 1)
+        w = assemble_blowup(g, fam, (2, 2), 1,
+                            parse_pattern("spider:2,2*1"))
         assert w.route == "constructive"
         assert len(w.paths) == 2
         assert verify_embedding(g, w)
 
     def test_k24_host_t2(self):
         g, fam = k24_host_family()
-        w = assemble_blowup(g, fam, (2, 2), 2)
+        w = assemble_blowup(g, fam, (2, 2), 2,
+                            parse_pattern("spider:2,2*2"))
         assert verify_embedding(g, w)
         assert str(w.pattern) == "spider:2,2*2"
 
     def test_k24_host_t3_fails_after_two_rounds(self):
         g, fam = k24_host_family()
         with pytest.raises(ConstructionFailure) as exc:
-            assemble_blowup(g, fam, (2, 2), 3)
+            assemble_blowup(g, fam, (2, 2), 3,
+                            parse_pattern("spider:2,2*3"))
         assert exc.value.rounds_completed == 2
 
     def test_empty_family(self):
         fam = SpiderFamily((), (), 1, 1, Thresholds.constant(0))
         with pytest.raises(ConstructionFailure):
-            assemble_blowup(cycle_graph(4), fam, (2, 2), 1)
+            assemble_blowup(cycle_graph(4), fam, (2, 2), 1,
+                            parse_pattern("spider:2,2*1"))
 
     def test_two_unit_legs_rejected(self):
         # build_paths rejects the family in round 0, before any state
@@ -369,7 +330,8 @@ class TestAssemble:
                            1, 1, Thresholds.constant(0))
         with pytest.raises(ValueError,
                            match="at most one leg of length 1 is supported"):
-            assemble_blowup(g, fam, (2, 2), 1)
+            assemble_blowup(g, fam, (2, 2), 1,
+                            parse_pattern("spider:2,2*1"))
 
 
 class TestFindKstk:

@@ -64,7 +64,7 @@ class TestThresholds:
     def test_modes(self):
         assert Thresholds.paper_recursion(2).f(2) == 262145
         assert Thresholds.constant(7).f(99) == 7
-        assert Thresholds.custom({1: 4, 2: 9}).f(2) == 9
+        assert Thresholds.custom([4, 9]).f(2) == 9
 
     @pytest.mark.parametrize("L", [1, 2, 3.5])
     def test_paper_saturates_past_maxsize(self, L):
@@ -77,28 +77,27 @@ class TestThresholds:
 
     def test_custom_missing_level(self):
         with pytest.raises(ValueError):
-            Thresholds.custom({1: 4}).f(2)
+            Thresholds.custom([4]).f(2)
 
     def test_describe(self):
-        assert Thresholds.constant(3).describe() == "const:3"
-        assert Thresholds.custom({1: 4, 2: 9}).describe() == "custom:4,9"
-        assert Thresholds.paper_recursion(2.0).describe() == "paper"
+        assert Thresholds.constant(3).spelling == "const:3"
+        assert Thresholds.custom([4, 9]).spelling == "custom:4,9"
+        assert Thresholds.paper_recursion(2.0).spelling == "paper"
 
     def test_validation(self):
         with pytest.raises(ValueError):
             Thresholds.constant(-1)
         with pytest.raises(ValueError):
             Thresholds.paper_recursion(0.5)
-        for table in ({}, {2: 5}):
-            with pytest.raises(ValueError):
-                Thresholds.custom(table)
+        with pytest.raises(ValueError):
+            Thresholds.custom([])
 
     def test_parse(self):
         paper = Thresholds.parse("paper", 2)
-        assert paper.f(2) == 262145 and paper.describe() == "paper"
+        assert paper.f(2) == 262145 and paper.spelling == "paper"
         const = Thresholds.parse("const:3", 2)
         assert [const.f(ell) for ell in (1, 5, 99)] == [3, 3, 3]
-        assert const.describe() == "const:3"
+        assert const.spelling == "const:3"
         custom = Thresholds.parse("custom:4,9", 2)
         assert (custom.f(1), custom.f(2)) == (4, 9)
         with pytest.raises(ValueError):
@@ -113,20 +112,19 @@ class TestThresholds:
 
     @pytest.mark.parametrize("thr", [
         Thresholds.paper_recursion(2.5), Thresholds.constant(3),
-        Thresholds.custom({1: 4, 2: 9, 3: 0}),
+        Thresholds.custom([4, 9, 0]),
     ], ids=["paper", "const", "custom"])
     def test_describe_parses_back(self, thr):
-        again = Thresholds.parse(thr.describe(), 2.5)
-        assert again.describe() == thr.describe()
+        again = Thresholds.parse(thr.spelling, 2.5)
+        assert again.spelling == thr.spelling
         assert [again.f(ell) for ell in (1, 2, 3)] == \
             [thr.f(ell) for ell in (1, 2, 3)]
 
     def test_custom_describe_parses_back(self):
         thr = Thresholds.parse("custom:4,9,0", 1)
-        again = Thresholds.parse(thr.describe(), 1)
-        assert thr.describe() == "custom:4,9,0"
+        again = Thresholds.parse(thr.spelling, 1)
+        assert thr.spelling == "custom:4,9,0"
         assert [again.f(ell) for ell in (1, 2, 3)] == [4, 9, 0]
-        assert Thresholds.custom({2: 9, 1: 4}).describe() == "custom:4,9"
 
 
 class TestClassifyPaths:
@@ -184,17 +182,12 @@ class TestClassifyPaths:
                     assert cls.levels[ell].good == ref[ell]["good"]
                     assert cls.levels[ell].counts == ref[ell]["counts"]
 
-    def test_is_good_handles_reversal(self):
-        g = path_graph(3)
-        cls = classify_paths(g, 2, Thresholds.constant(1))
-        assert cls.is_good((2, 1, 0))
-
     def test_per_length_threshold_monotone(self):
         # raising one level's threshold (others fixed) never shrinks that
         # level's good set
         for g in random_small_graphs(8, 9, seed=43, density=2.0):
-            lo = classify_paths(g, 3, Thresholds.custom({1: BIG, 2: 1, 3: 2}))
-            hi = classify_paths(g, 3, Thresholds.custom({1: BIG, 2: 2, 3: 2}))
+            lo = classify_paths(g, 3, Thresholds.custom([BIG, 1, 2]))
+            hi = classify_paths(g, 3, Thresholds.custom([BIG, 2, 2]))
             assert lo.levels[2].good <= hi.levels[2].good
 
 

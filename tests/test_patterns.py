@@ -30,7 +30,7 @@ class TestParse:
         "kst:2,2*3", "cycle:6*2", "kst:2,2^0", "arbitrary:2:1-1^3",
         "arbitrary:2:0-5^2", "arbitrary:3:0--1", "kst:2,", "spider:1,,2",
         "arbitrary:3:0-", "arbitrary:3:0-1-2", "arbitrary:3:",
-        "arbitrary::0-1",
+        "arbitrary::0-1", "arbitrary:2:0-1;0-1", "arbitrary:3:0-1;1-0",
     ])
     def test_rejects(self, text):
         with pytest.raises(ValueError) as exc:

@@ -13,11 +13,7 @@ from spidersearch.graph import (
     path_graph,
     random_gnm,
 )
-from spidersearch.spiders import (
-    enumerate_spiders,
-    spider_layout,
-    validate_spider,
-)
+from spidersearch.spiders import enumerate_spiders, spider_layout
 
 from bruteforce import all_spiders, unflatten
 from conftest import random_small_graphs
@@ -55,23 +51,10 @@ class TestEnumeration:
         spiders = list(enumerate_spiders(g, (2, 1)))
         assert spiders == sorted(spiders)
         assert len(spiders) == len(set(spiders))
+        reference = set(all_spiders(g, (2, 1)))
         for sp in spiders:
-            validate_spider(g, sp, (2, 1))
+            assert unflatten(sp, (2, 1)) in reference
             assert len(set(unflatten(sp, (2, 1)).leaf_vector)) == 2
-
-    def test_validate_rejects_non_spiders(self):
-        g = random_gnm(10, 20, seed=2)
-        sp = next(enumerate_spiders(g, (2, 1)))
-        with pytest.raises(ValueError, match="length vector"):
-            validate_spider(g, sp, (2, 2))
-        with pytest.raises(ValueError, match="repeats"):
-            validate_spider(g, sp[:3] + sp[1:2], (2, 1))
-        # a leg whose next vertex is not a neighbour of its tip
-        tip = sp[2]
-        far = next(v for v in g.vertices()
-                   if v not in sp and not g.has_edge(tip, v))
-        with pytest.raises(ValueError, match="missing edge"):
-            validate_spider(g, sp[:3] + (far,) + sp[3:], (3, 1))
 
     @given(n=st.integers(3, 9), seed=st.integers(0, 10**6),
            s=st.integers(1, 3))
