@@ -3,7 +3,8 @@
 Exit codes for `find`: 0 witness found, 1 not found (also when
 --node-limit runs out first, which stderr says), 2 input error.
 Every command exits 2 with an `error:` line, not a traceback, when a
-computation gives up (a size limit, a witness that fails re-verification).
+computation gives up (a size limit, running out of memory, a witness that
+fails re-verification).
 All commands are deterministic given identical inputs and seeds; the
 --threads flag is accepted for interface compatibility but execution is
 sequential (results never depend on it).
@@ -361,6 +362,9 @@ def main(argv: list[str] | None = None) -> int:
         raise ValueError(f"unknown command {args.command!r}")
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

@@ -139,19 +139,12 @@ def refine_family(
 # -- the chain ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BuildResult:
-    paths: tuple[tuple[int, ...], ...]  # path i runs v_i .. w_i
-    end_leaves: tuple[int, ...]
-
-
 def _gamma_schedule(
     lv: tuple[int, ...], targets: tuple[int, ...]
 ) -> list[tuple[int, ...]]:
     """Columns gamma[j] decomposing each k_i - l_i as gamma_0 + 2+2+...,
     parity bit first, then ones packed at the earliest columns.
     """
-    s = len(lv)
     gamma0 = tuple((t - l) % 2 for t, l in zip(targets, lv))
     halves = [(t - l - g) // 2 for t, l, g in zip(targets, lv, gamma0)]
     cols = [gamma0]
@@ -172,10 +165,11 @@ def build_paths(
     r0: FlatSpider,
     Z: Iterable[int],
     targets: tuple[int, ...],
-) -> BuildResult:
+) -> tuple[tuple[int, ...], ...]:
     """Grow paths from the leaves of r0 by alternately extending (S_j picks
     a family member containing the current stub) and relocating (T_j picks
-    a disjoint member with the same leaf vector, then truncates).
+    a disjoint member with the same leaf vector, then truncates).  Path i
+    runs from leaf i of r0 to leaf i of the last column.
 
     The chain stops after the last column that actually extends a path;
     trailing all-zero columns are skipped, so equal targets need no chain
@@ -211,7 +205,15 @@ def build_paths(
     )
     J = last + 1
 
-    grid: list[tuple[int, ...]] = [start]
+    def add_column(col: tuple[int, ...]) -> None:
+        if len(set(col)) != s:
+            raise RuntimeError(f"grid column collision at {col}")
+        for p, v in zip(paths, col):
+            if p[-1] != v:
+                p.append(v)
+
+    paths = [[v] for v in start]
+    add_column(start)  # checks the first column; the paths already end there
     r_prev = r0
     used: set[int] = set()
 
@@ -232,13 +234,14 @@ def build_paths(
                 f"S_{j}", "no family member extends the current stub cleanly"
             )
         used |= set(s_j)
-        grid.append(layout.leaf(s_j))
+        leaves = layout.leaf(s_j)
+        add_column(leaves)
 
         if j <= J - 1:
-            leaf_set = set(grid[-1])
+            leaf_set = set(leaves)
             forb_t = zset | used
             t_j = None
-            for M in fam.with_leaf(grid[-1]):
+            for M in fam.with_leaf(leaves):
                 if (set(M) - leaf_set) & forb_t:
                     continue
                 t_j = M
@@ -249,19 +252,9 @@ def build_paths(
                 )
             used |= set(t_j)
             r_prev = layout.truncations[cols[j]](t_j)
-            grid.append(_truncated_leaf(lv, cols[j])(r_prev))
+            add_column(_truncated_leaf(lv, cols[j])(r_prev))
 
-    # every grid column must consist of distinct vertices
-    for col in grid:
-        if len(set(col)) != s:
-            raise RuntimeError(f"grid column collision at {col}")
-
-    paths = []
-    for i in range(s):
-        seq = [grid[0][i]]
-        for col in grid[1:]:
-            if col[i] != seq[-1]:
-                seq.append(col[i])
+    for i, seq in enumerate(paths):
         want_len = targets[i] - lv[i]
         if len(seq) - 1 != want_len or len(set(seq)) != len(seq):
             raise ConstructionFailure(
@@ -269,7 +262,6 @@ def build_paths(
             )
         if set(seq) & zset:
             raise ConstructionFailure(f"P_{i}", "path touches Z")
-        paths.append(tuple(seq))
     for i in range(s):
         for j in range(i + 1, s):
             if set(paths[i]) & set(paths[j]):
@@ -277,25 +269,25 @@ def build_paths(
                     "paths", f"paths {i} and {j} intersect"
                 )
 
-    return BuildResult(paths=tuple(paths), end_leaves=grid[-1])
+    return tuple(map(tuple, paths))
 
 
 def connect_paths(
-    fam: SpiderFamily, build: BuildResult, Z: Iterable[int]
+    fam: SpiderFamily, paths: tuple[tuple[int, ...], ...], Z: Iterable[int]
 ) -> FlatSpider:
     """Close the built paths with a family member whose leaf vector is the
     paths' far endpoints, avoiding Z and meeting the paths only there; leg
     i of the result runs on along path i, back to its start.
     """
     zset = set(Z)
-    w = build.end_leaves
-    path_vs = set().union(*(set(p) for p in build.paths))
+    w = tuple(p[-1] for p in paths)
+    path_vs = set().union(*(set(p) for p in paths))
     blocked = zset | (path_vs - set(w))
     for M in fam.with_leaf(w):
         if set(M) & blocked:
             continue
         out = [M[0]]
-        for (a, b), path in zip(spider_layout(fam.lv).legs, build.paths):
+        for (a, b), path in zip(spider_layout(fam.lv).legs, paths):
             out += M[a:b]
             out += reversed(path[:-1])
         return tuple(out)
@@ -328,12 +320,10 @@ def assemble_blowup(
     legs_done: list[FlatSpider] = []
     for rnd in range(t):
         try:
-            build = build_paths(fam, r0, Z, targets)
-            sp = connect_paths(fam, build, Z)
+            sp = connect_paths(fam, build_paths(fam, r0, Z, targets), Z)
         except ConstructionFailure as e:
-            raise ConstructionFailure(
-                e.stage, e.detail, rounds_completed=rnd
-            ) from None
+            e.rounds_completed = rnd
+            raise
         if full.leaf(sp) != roots:
             raise RuntimeError(f"round {rnd} spider misses the roots {roots}")
         legs_done.append(sp)

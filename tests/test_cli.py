@@ -508,6 +508,31 @@ def test_zero_node_limit_exit_2(capsys, tmp_path, argv):
     assert err == "error: node limit must be positive\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["oracle", "hillclimb", "--n", "100000", "--pattern", "cycle:4",
+     "--iters", "1"],
+    ["find", "--pattern", "kst:2,2^2"],
+], ids=["hillclimb", "find"])
+def test_out_of_memory_exit_2(tmp_path, argv):
+    """Running out of memory is a computation giving up, not an honest
+    negative: exit 2 with a written-out message, not a traceback.  Under
+    the address-space cap, hill climbing's list of 5·10^9 vertex pairs and
+    the adjacency lists of a 10^8-vertex header raise MemoryError."""
+    resource = pytest.importorskip("resource")
+    cap = 1 << 30
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    if argv[0] == "find":
+        big = tmp_path / "big.txt"
+        big.write_text("100000000 0\n")
+        argv = [*argv, "--graph", str(big)]
+    proc = run_python("-c", _MAIN, *argv, preexec_fn=limit)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2, "", "error: out of memory\n")
+
+
 _SABOTAGED_MAIN = """
 import sys
 from spidersearch import finder, oracle

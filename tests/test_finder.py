@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from collections import Counter
@@ -219,8 +220,8 @@ class TestBuildPaths:
         r0 = fam.members[0]
         res = build_paths(fam, r0, set(), (2, 2))
         leaf = leaf_vector(r0, (2, 2))
-        assert res.paths == tuple((v,) for v in leaf)
-        assert res.end_leaves == leaf
+        assert res == tuple((v,) for v in leaf)
+        assert tuple(p[-1] for p in res) == leaf
 
     def test_two_unit_legs_rejected(self):
         g = complete_bipartite(2, 5)
@@ -252,20 +253,20 @@ class TestBuildPaths:
         g, fam = k66_family()
         r0 = fam.members[0]
         res = build_paths(fam, r0, set(), (2, 4))
-        assert [len(p) - 1 for p in res.paths] == [0, 2]
-        assert (res.paths[0][0], res.paths[1][0]) == leaf_vector(r0, (2, 2))
-        assert not set(res.paths[0]) & set(res.paths[1])
-        assert res.end_leaves in {leaf_vector(sp, (2, 2))
-                                  for sp in fam.members}
-        for u, v in zip(res.paths[1], res.paths[1][1:]):
+        assert [len(p) - 1 for p in res] == [0, 2]
+        assert (res[0][0], res[1][0]) == leaf_vector(r0, (2, 2))
+        assert not set(res[0]) & set(res[1])
+        assert tuple(p[-1] for p in res) in {leaf_vector(sp, (2, 2))
+                                             for sp in fam.members}
+        for u, v in zip(res[1], res[1][1:]):
             assert g.has_edge(u, v)
 
     def test_odd_extension_chain(self):
         g, fam = k66_family()
         r0 = spider_layout((2, 2)).truncations[(1, 1)](fam.members[0])
         res = build_paths(fam, r0, set(), (3, 3))
-        assert [len(p) - 1 for p in res.paths] == [1, 1]
-        for p in res.paths:
+        assert [len(p) - 1 for p in res] == [1, 1]
+        for p in res:
             assert g.has_edge(p[0], p[1])
 
     def test_avoids_z(self):
@@ -273,7 +274,7 @@ class TestBuildPaths:
         r0 = fam.members[0]
         z = {v for v in range(g.n) if v not in r0} & {2, 8}
         res = build_paths(fam, r0, z, (2, 4))
-        for p in res.paths:
+        for p in res:
             assert not set(p) & z
 
 
@@ -289,7 +290,7 @@ class TestConnect:
         _, fam = k66_family()
         res = build_paths(fam, fam.members[0], set(), (2, 2))
         z = {unflatten(sp, (2, 2)).centre
-             for sp in fam.with_leaf(res.end_leaves)}
+             for sp in fam.with_leaf(tuple(p[-1] for p in res))}
         with pytest.raises(ConstructionFailure, match="connect"):
             connect_paths(fam, res, z)
 
@@ -449,3 +450,27 @@ class TestPinnedConstructiveWitnesses:
         assert rep.witness.to_json() == _witness_json(
             [1, 0, 3, 4],
             [[3, 5, 1], [3, 6, 0], [4, 10, 1], [4, 7, 0]])
+
+
+class TestPinnedChainOutput:
+    """Which family members the chain picks, pinned by a SHA-256 over each
+    constructive answer's host index and witness JSON on criterion 5's
+    hosts (seed 5055).  With k = 2 no vector needs a T step; with k = 3
+    the answers from (1,3) and (2,1) each chain S_1, T_1, S_2."""
+
+    @pytest.mark.parametrize("k, answering, digest", [
+        (2, {(2, 2): 44, (1, 2): 6, (2, 1): 3},
+         "506cb71f7502f525ccad9ab65082c45404c251c1c6e62e9ab0541b7c4207488c"),
+        (3, {(3, 3): 25, (2, 2): 2, (1, 3): 1, (2, 1): 1},
+         "13291f8f0e796edc8418e43765d4cd209feb4e31adc8a7a108ffa8aed8962061"),
+    ])
+    def test_criterion5_constructive_answers(self, k, answering, digest):
+        h = hashlib.sha256()
+        vectors = Counter()
+        for i, (g, thr, L) in enumerate(criterion5_hosts()):
+            rep = find_kstk(g, 2, 2, k, thr, L)
+            if rep.status == "constructive":
+                vectors[rep.tried[-1]] += 1
+                h.update(f"{i}\n{rep.witness.to_json()}".encode())
+        assert vectors == answering
+        assert h.hexdigest() == digest
