@@ -15,13 +15,14 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable
+from itertools import product
+from typing import Iterable
 
 from .goodness import Thresholds, check_L, classify_paths, classify_spiders
 from .graph import Graph
 from .oracle import ContainmentResult, SearchBudget, Witness, contains, verify_embedding
 from .patterns import PatternDescriptor, kst_pattern
-from .spiders import FlatSpider, spider_layout
+from .spiders import FlatSpider, Key, spider_layout
 
 
 class ConstructionFailure(Exception):
@@ -48,10 +49,9 @@ class SpiderFamily:
 
     def __post_init__(self) -> None:
         leaf = spider_layout(self.lv).leaf
-        idx: dict[tuple[int, ...], list[FlatSpider]] = {}
+        self._leaf_index = {}
         for sp in self.members:
-            idx.setdefault(leaf(sp), []).append(sp)
-        self._leaf_index = idx
+            self._leaf_index.setdefault(leaf(sp), []).append(sp)
 
     def with_leaf(self, leaf: tuple[int, ...]) -> list[FlatSpider]:
         return self._leaf_index.get(tuple(leaf), [])
@@ -63,17 +63,17 @@ def _condition_ii_threshold(delta: float, L: float, weight: int) -> Fraction:
 
 def family_condition_violations(fam: SpiderFamily) -> list[str]:
     """Independent literal re-check of refinement conditions (i) and (ii)."""
-    out = []
     f = fam.thresholds.f(sum(fam.lv))
     layout = spider_layout(fam.lv)
     counts = Counter(map(layout.leaf, fam.members))
-    for sp in fam.members:
-        if 2 * counts[layout.leaf(sp)] < f:
-            out.append(f"(i) violated at {sp}")
-    for gamma, trunc in layout.truncations.items():
+    out = [f"(i) violated at {sp}" for sp in fam.members
+           if 2 * counts[layout.leaf(sp)] < f]
+    for gamma in product((0, 1), repeat=len(fam.lv)):
+        trunc = layout.truncation(gamma)
         thr = _condition_ii_threshold(fam.delta, fam.L, sum(gamma))
         tc = Counter(map(trunc, fam.members))
-        short = {cls for cls, cnt in tc.items() if cnt < thr}
+        short = {cls for cls, cnt in tc.items()
+                 if cnt * thr.denominator < thr.numerator}
         if short:
             out += [f"(ii) violated at {sp} for gamma={gamma}"
                     for sp in fam.members if trunc(sp) in short]
@@ -110,10 +110,10 @@ def refine_family(
     # counts are integers, so count >= x iff count >= ceil(x); a bound of
     # at most 1 always holds, because a member's own class counts it
     support = []
-    for gamma, trunc in layout.truncations.items():
+    for gamma in product((0, 1), repeat=len(lv)):
         bound = math.ceil(_condition_ii_threshold(delta, L, sum(gamma)))
         if bound > 1:
-            support.append((trunc, bound))
+            support.append((layout.truncation(gamma), bound))
     while flat:
         counts = Counter(map(leaf, flat))
         tcs = [(trunc, Counter(map(trunc, flat)), bound)
@@ -153,9 +153,7 @@ def _gamma_schedule(
     return cols
 
 
-def _truncated_leaf(
-    lv: tuple[int, ...], gamma: tuple[int, ...]
-) -> Callable[[FlatSpider], tuple[int, ...]]:
+def _truncated_leaf(lv: tuple[int, ...], gamma: tuple[int, ...]) -> Key:
     """The leaf getter of the spiders that gamma truncates from lv."""
     return spider_layout(tuple(l - g for l, g in zip(lv, gamma))).leaf
 
@@ -193,7 +191,7 @@ def build_paths(
         raise ValueError(
             f"r0 has {len(r0)} vertices, not a spider with length vector {want}"
         )
-    trunc0 = layout.truncations[gamma0]
+    trunc0 = layout.truncation(gamma0)
     if not any(trunc0(sp) == r0 for sp in fam.members):
         raise ValueError("r0 is not a truncation of any family member")
     start = spider_layout(want).leaf(r0)
@@ -218,7 +216,7 @@ def build_paths(
     used: set[int] = set()
 
     for j in range(1, J + 1):
-        trunc = layout.truncations[cols[j - 1]]
+        trunc = layout.truncation(cols[j - 1])
         forb = zset | used
         r_vs = set(r_prev)
         s_j = None
@@ -251,7 +249,7 @@ def build_paths(
                     f"T_{j}", "no disjoint member shares the leaf vector"
                 )
             used |= set(t_j)
-            r_prev = layout.truncations[cols[j]](t_j)
+            r_prev = layout.truncation(cols[j])(t_j)
             add_column(_truncated_leaf(lv, cols[j])(r_prev))
 
     for i, seq in enumerate(paths):
@@ -312,7 +310,7 @@ def assemble_blowup(
     if not fam.members:
         raise ConstructionFailure("assemble", "empty family", rounds_completed=0)
     gamma0 = _gamma_schedule(fam.lv, targets)[0]
-    r0 = spider_layout(fam.lv).truncations[gamma0](fam.members[0])
+    r0 = spider_layout(fam.lv).truncation(gamma0)(fam.members[0])
     roots = _truncated_leaf(fam.lv, gamma0)(r0)
     Z: set[int] = set()
 

@@ -258,7 +258,7 @@ def _extend_level(
     for j in range(i + 1, len(vec)):
         if vec[j] > 1:
             e = _unit(vec, j)
-            others.append((layout.truncations[e], levels[_minus(vec, e)].good))
+            others.append((layout.truncation(e), levels[_minus(vec, e)].good))
     parents = levels[_minus(vec, _unit(vec, i))].good
     total = 0
     admissible = set()

@@ -146,6 +146,11 @@ def _witness(desc: PatternDescriptor, tmpl: Template, img: dict[int, int],
 
 
 _NO_VERTICES: frozenset[int] = frozenset()
+
+
+def _adjacency(G: Graph) -> list[dict[int, None]]:
+    """Ascending neighbour dicts: the adjacency every oracle search walks."""
+    return [dict.fromkeys(G.neighbors(v)) for v in G.vertices()]
 _GONE = object()  # the old value of a key that a search trail entry added
 
 # a process meets few templates, each with one plan per anchor plus the
@@ -228,9 +233,9 @@ def _walk_paths(
 
 class _EdgeCheck:
     """Does adding the non-edge (u, v) to a pattern-free graph create the
-    pattern?  One instance follows one graph, kept as neighbour sets, as
-    `add` and `remove` change it.  On a graph that already contains the
-    pattern, it asks for a new copy through (u, v).
+    pattern?  One instance follows one graph, kept as an `_adjacency` that
+    `add` (appending neighbours) and `remove` change.  On a graph that
+    already contains the pattern, it asks for a new copy through (u, v).
 
     A cycle of length M appears iff `path` finds an (M-1)-edge u-v path;
     `contains` finds cycles by the same walk.  Its BFS distance tables, one
@@ -256,7 +261,7 @@ class _EdgeCheck:
 
     def start(self, G: Graph) -> "_EdgeCheck":
         """Follow G from here on, forgetting any earlier graph."""
-        self.adj = [set(G.neighbors(v)) for v in G.vertices()]
+        self.adj = _adjacency(G)
         self.tables: dict[int, list[int]] = {}
         self.budget = SearchBudget()
         return self
@@ -311,8 +316,7 @@ class _EdgeCheck:
             raise RuntimeError("anchored witness failed verification")
 
     def add(self, u: int, v: int) -> None:
-        self.adj[u].add(v)
-        self.adj[v].add(u)
+        self.adj[u][v] = self.adj[v][u] = None
         # the edge shortens no distance in a table where its ends lie at
         # most one level apart (M standing for "out of range")
         self.tables = {
@@ -320,8 +324,7 @@ class _EdgeCheck:
         }
 
     def remove(self, u: int, v: int) -> None:
-        self.adj[u].discard(v)
-        self.adj[v].discard(u)
+        del self.adj[u][v], self.adj[v][u]
         # an edge whose ends lie on one level is on no shortest path to the
         # target, so removing it lengthens no distance in that table
         self.tables = {
@@ -521,9 +524,7 @@ def _template_search(
 ) -> tuple[dict[int, int], dict[int, tuple[int, ...]]] | None:
     """The first embedding of the template in the host with adjacency
     `adj`, in search order, or None; `pins` maps terminals to fixed images.
-    `adj` has one neighbour collection per vertex that iterates in the
-    order paths follow and answers membership: dicts of ascending
-    neighbours from `contains`, sets from `_EdgeCheck`.  The memoised
+    `adj` is an `_adjacency`, whose order paths follow.  The memoised
     `_search_plan` holds all that depends on the template and the pinned
     terminals alone, from the orders to the pattern half of the size gate.
 
@@ -767,9 +768,9 @@ def contains(
     unordered search in at most as many nodes, so a `--node-limit` that
     sufficed for that search still does; with them, the status is the
     same, but the witness can take other middles and the node count
-    differs case by case (far fewer in total).  The search reads G as one
-    dict of neighbours per vertex, ascending like `G.neighbors` and hashed
-    like a set.  Either route's embedding is verified.
+    differs case by case (far fewer in total).  Both routes read G as one
+    `_adjacency`, so the witness is the first in ascending neighbour order.
+    Either route's embedding is verified.
 
     `nodes` is the search's node count on every outcome, with or without a
     `budget`; without one the search is unlimited (the edge check ticks
@@ -782,8 +783,7 @@ def contains(
         if M is not None:
             sol = _cycle_embedding(G, desc, tmpl, budget)
         else:
-            adj = [dict.fromkeys(G.neighbors(v)) for v in G.vertices()]
-            sol = _template_search(adj, tmpl, budget)
+            sol = _template_search(_adjacency(G), tmpl, budget)
     except BudgetExhausted:
         return ContainmentResult("budget", nodes=budget.nodes)
     if sol is None:

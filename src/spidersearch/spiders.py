@@ -12,16 +12,17 @@ getters of its vector's `spider_layout`.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import accumulate, product
+from itertools import accumulate
 from operator import itemgetter
 from typing import Callable, Iterator, NamedTuple
 
 from .graph import Graph
 
 FlatSpider = tuple[int, ...]  # (centre, leg 1 ..., leg 2 ..., ...)
+Key = Callable[[FlatSpider], tuple[int, ...]]  # a getter of some entries
 
 
-def _picker(indices: list[int]) -> Callable[[FlatSpider], tuple[int, ...]]:
+def _picker(indices: list[int]) -> Key:
     """A getter for the entries at `indices`, always as a tuple (a
     one-index `itemgetter` would return the bare entry)."""
     if len(indices) >= 2:
@@ -31,16 +32,22 @@ def _picker(indices: list[int]) -> Callable[[FlatSpider], tuple[int, ...]]:
 
 class SpiderLayout(NamedTuple):
     """Where each leg of a spider with one length vector sits in its flat
-    tuple, and getters for the keys that classification, refinement and
-    the chain compare.
-    """
+    tuple, and the getter of its leaf vector.  `truncation` builds the
+    other keys that classification, refinement and the chain compare."""
 
     legs: tuple[tuple[int, int], ...]  # slice bounds of each leg
-    leaf: Callable[[FlatSpider], tuple[int, ...]]  # the leaf vector
-    # gamma in {0,1}^s, at most the length vector -> the flat tuple without
-    # the tips of the legs that gamma truncates, which is the truncated
-    # spider in the layout of lv - gamma: one key per truncation class
-    truncations: dict[tuple[int, ...], Callable[[FlatSpider], tuple[int, ...]]]
+    leaf: Key  # the leaf vector
+
+    def truncation(self, gamma: tuple[int, ...]) -> Key:
+        """A getter for the flat tuple less the tips of the legs that gamma
+        in {0,1}^s truncates (a leg of length 0 has none), which is the
+        truncated spider at lv - gamma: one key per truncation class."""
+        if len(gamma) != len(self.legs) or any(
+            g not in (0, 1) or g > b - a for (a, b), g in zip(self.legs, gamma)
+        ):
+            raise ValueError(f"no truncation {gamma} of legs {self.legs}")
+        return _picker([0] + [j for (a, b), g in zip(self.legs, gamma)
+                              for j in range(a, b - g)])
 
 
 @lru_cache(maxsize=128)
@@ -51,13 +58,8 @@ def spider_layout(lv: tuple[int, ...]) -> SpiderLayout:
         raise ValueError("length vector entries must be >= 0")
     ends = list(accumulate(lv, initial=1))
     legs = tuple(zip(ends, ends[1:]))
-    truncations = {
-        gamma: _picker([0] + [j for (a, b), g in zip(legs, gamma)
-                              for j in range(a, b - g)])
-        for gamma in product(*((0, 1) if x else (0,) for x in lv))
-    }
     leaves = [b - 1 if b > a else 0 for a, b in legs]
-    return SpiderLayout(legs, _picker(leaves), truncations)
+    return SpiderLayout(legs, _picker(leaves))
 
 
 def enumerate_spiders(G: Graph, lv: tuple[int, ...]) -> Iterator[FlatSpider]:

@@ -398,7 +398,8 @@ def reference_find_cycle(
     G: Graph, length: int, budget: SearchBudget | None = None
 ) -> tuple[int, ...] | None:
     """The cycle search `contains` ran before it went through `_EdgeCheck`:
-    its own neighbour sets, a fresh distance table after every deletion.
+    its own neighbour dicts, ascending like `G.neighbors`, and a fresh
+    distance table after every deletion.
     A simple cycle with exactly `length` edges, or None (exhaustive).
 
     Scans edges in ascending order; after an edge is processed it is deleted,
@@ -406,10 +407,9 @@ def reference_find_cycle(
     """
     if length < 3:
         raise ValueError("cycle length must be >= 3")
-    adj = [set(G.neighbors(v)) for v in G.vertices()]
+    adj = [dict.fromkeys(G.neighbors(v)) for v in G.vertices()]
     for u, v in G.sorted_edges():
-        adj[u].discard(v)
-        adj[v].discard(u)
+        del adj[u][v], adj[v][u]
         dist = _distances_to(adj, v, length - 1, set())
         p = next(
             _walk_paths(adj, u, v, length - 1, dist, budget or SearchBudget()),

@@ -233,6 +233,14 @@ class TestFind:
         assert code == 0
         assert verify_embedding(cycle_graph(16), Witness.from_json(out))
 
+    def test_many_legs_not_found_exit_1(self, capsys, tmp_path):
+        # classification visits all 2^12 sub-vectors of (2,)^12 and builds
+        # only the getters it reads, so this ends in about a second
+        path = write_graph(tmp_path, cycle_graph(8))
+        code, out, err = run(capsys, "find", "--graph", path,
+                             "--pattern", "kst:12,2^2")
+        assert code == 1 and out == "" and err.endswith("no witness found\n")
+
     def test_not_found_exit_1(self, capsys, tmp_path):
         path = write_graph(tmp_path, cycle_graph(7))
         code, _, err = run(capsys, "find", "--graph", path,

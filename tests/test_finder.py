@@ -239,7 +239,7 @@ class TestBuildPaths:
 
     def test_wrong_r0_rejected(self):
         _, fam = k66_family()
-        bad = spider_layout((2, 2)).truncations[(1, 1)](fam.members[0])
+        bad = spider_layout((2, 2)).truncation((1, 1))(fam.members[0])
         with pytest.raises(ValueError, match="length vector"):
             build_paths(fam, bad, set(), (2, 2))
 
@@ -263,7 +263,7 @@ class TestBuildPaths:
 
     def test_odd_extension_chain(self):
         g, fam = k66_family()
-        r0 = spider_layout((2, 2)).truncations[(1, 1)](fam.members[0])
+        r0 = spider_layout((2, 2)).truncation((1, 1))(fam.members[0])
         res = build_paths(fam, r0, set(), (3, 3))
         assert [len(p) - 1 for p in res] == [1, 1]
         for p in res:

@@ -3,6 +3,7 @@ import sys
 
 import pytest
 
+from spidersearch import spiders
 from spidersearch.goodness import (
     Thresholds,
     canonical_path,
@@ -265,6 +266,17 @@ class TestClassifySpiders:
                                for sp in getattr(lvl, name)}
                         assert got == ref[vec][name], (g, vec, name)
                     assert lvl.counts == ref[vec]["counts"], (g, vec)
+
+    def test_builds_only_the_getters_it_reads(self, monkeypatch):
+        # a leaf getter per sub-vector and at most s unit truncations each;
+        # every truncation of every sub-vector would be 2^8 * 2^8 + 2^8
+        s, built, real = 8, [], spiders._picker
+        monkeypatch.setattr(
+            spiders, "_picker", lambda idx: built.append(idx) or real(idx))
+        spiders.spider_layout.cache_clear()
+        g, thr = cycle_graph(8), Thresholds.constant(1)
+        classify_spiders(g, (2,) * s, thr, classify_paths(g, 2, thr))
+        assert 2 ** s <= len(built) <= (s + 1) * 2 ** s
 
     def test_requires_path_tables(self):
         g = cycle_graph(5)

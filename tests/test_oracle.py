@@ -183,10 +183,10 @@ class TestContains:
     # the witnesses of the found rows below, terminals and paths, keyed by
     # pattern and node count: they pin the order in which neighbours are read
     FROZEN_WITNESSES = {
-        ("cycle:12", 13): (
-            (0, 16, 3, 10, 4, 9, 2, 1, 11, 7, 12, 6),
-            ((0, 16), (16, 3), (3, 10), (10, 4), (4, 9), (9, 2), (2, 1),
-             (1, 11), (11, 7), (7, 12), (12, 6), (6, 0)),
+        ("cycle:12", 115): (
+            (0, 7, 2, 9, 4, 10, 3, 5, 8, 1, 12, 6),
+            ((0, 7), (7, 2), (2, 9), (9, 4), (4, 10), (10, 3), (3, 5),
+             (5, 8), (8, 1), (1, 12), (12, 6), (6, 0)),
         ),
         ("kst:2,3^2", 7): (
             (0, 1, 2, 3, 4),
@@ -204,7 +204,7 @@ class TestContains:
         (cycle_graph(7), "kst:2,2^2", "absent", 6),
         (random_gnm(16, 20, seed=7), "kst:2,2^2", "absent", 99),
         (random_gnm(18, 26, seed=4), "cycle:17", "absent", 1803),
-        (random_gnm(18, 30, seed=4), "cycle:12", "found", 13),
+        (random_gnm(18, 30, seed=4), "cycle:12", "found", 115),
         (subdivide(complete_bipartite(2, 3), 2), "kst:2,3^2", "found", 7),
         (random_gnm(12, 20, seed=5), "kst:2,3^2", "found", 160),
         # too few vertices of degree 2 or more: the size gate answers
@@ -482,6 +482,16 @@ class TestCycleRoute:
                         g, text, limit)
                     statuses.add(want[0])
         assert statuses == {"found", "absent", "budget"}
+
+    def test_witness_is_first_cycle_in_ascending_order(self):
+        # two 4-cycles through the smallest edge (0, 1), by 7 and by 9:
+        # neighbour sets would try 9 first, the ascending walk tries 7
+        assert list({7, 9}) == [9, 7]
+        g = Graph.from_edges(
+            10, [(0, 1), (0, 7), (0, 9), (1, 2), (1, 3), (2, 7), (3, 9)])
+        res = contains(g, parse_pattern("cycle:4"))
+        assert res.status == "found"
+        assert {v for p in res.witness.paths for v in p} == {0, 1, 2, 7}
 
 
 class TestNodeCount:
@@ -824,7 +834,8 @@ class TestEdgeCheck:
                 if not want:
                     check.add(u, v)
                     g = Graph(n, g.edges | {e})
-            assert check.adj == [set(g.neighbors(v)) for v in g.vertices()]
+            assert [d.keys() for d in check.adj] == \
+                [set(g.neighbors(v)) for v in g.vertices()]
 
     @pytest.mark.parametrize("pattern,anchors", [
         ("arbitrary:6:0-1;1-2;2-3;3-4;1-5;2-5", 6),  # no two twins
@@ -919,7 +930,8 @@ class TestEdgeCheck:
                 if not want:
                     check.add(u, v)
                     g = Graph(n, g.edges | {e})
-            assert check.adj == [set(g.neighbors(v)) for v in g.vertices()]
+            assert [d.keys() for d in check.adj] == \
+                [set(g.neighbors(v)) for v in g.vertices()]
             # then the order `contains` uses: the edges removed in
             # ascending order, each followed by a walk from u to v
             for u, v in g.sorted_edges():
@@ -928,7 +940,7 @@ class TestEdgeCheck:
                 assert_tables_fresh()
                 if check.M is not None:
                     check.path(u, v, SearchBudget())
-            assert check.adj == [set() for _ in range(n)]
+            assert check.adj == [{} for _ in range(n)]
 
 
 class TestFirstAddableEdge:

@@ -1,4 +1,5 @@
 from collections import Counter
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -71,7 +72,7 @@ def truncate(sp, lv, target):
     longer leg per step, through the layouts' truncation getters."""
     while lv != target:
         gamma = tuple(int(x > t) for x, t in zip(lv, target))
-        sp = spider_layout(lv).truncations[gamma](sp)
+        sp = spider_layout(lv).truncation(gamma)(sp)
         lv = tuple(x - g for x, g in zip(lv, gamma))
     return sp
 
@@ -83,7 +84,7 @@ class TestSubspider:
     LV = (3, 2)
 
     def test_identity(self):
-        assert spider_layout(self.LV).truncations[(0, 0)](self.S) == self.S
+        assert spider_layout(self.LV).truncation((0, 0))(self.S) == self.S
         assert truncate(self.S, self.LV, self.LV) == self.S
 
     def test_all_zero(self):
@@ -103,12 +104,18 @@ class TestSubspider:
                         truncate(self.S, self.LV, b)
 
     def test_target_too_long(self):
-        # only legs with an edge to spare have a truncation getter
-        assert set(spider_layout((0, 2)).truncations) == {(0, 0), (0, 1)}
-        assert (2, 0) not in spider_layout(self.LV).truncations
+        # only legs with an edge to spare have a truncation getter, and
+        # gamma truncates each leg by 0 or 1
+        layout = spider_layout((0, 2))
+        assert layout.truncation((0, 1))((7, 3, 4)) == (7, 3)
+        for gamma in [(1, 0), (1, 1), (0, 2), (0, -1), (0,), (0, 0, 0)]:
+            with pytest.raises(ValueError):
+                layout.truncation(gamma)
+        with pytest.raises(ValueError):
+            spider_layout(self.LV).truncation((2, 0))
 
     def test_gamma_truncation(self):
-        trunc = spider_layout(self.LV).truncations[(1, 0)]
+        trunc = spider_layout(self.LV).truncation((1, 0))
         assert trunc(self.S) == (0, 1, 2, 4, 5)
 
     @pytest.mark.parametrize("lv", [(2, 2), (3, 1), (1, 2, 2)])
@@ -121,10 +128,11 @@ class TestSubspider:
         layout = spider_layout(lv)
         for sp in spiders[:50]:
             nested = unflatten(sp, lv)
-            for g1, t1 in layout.truncations.items():
+            for g1 in product((0, 1), repeat=len(lv)):
+                t1 = layout.truncation(g1)
                 mid = tuple(x - g for x, g in zip(lv, g1))
-                for g2, t2 in spider_layout(mid).truncations.items():
-                    both = t2(t1(sp))
+                for g2 in product(*((0, 1) if x else (0,) for x in mid)):
+                    both = spider_layout(mid).truncation(g2)(t1(sp))
                     want = tuple(x - a - b for x, a, b in zip(lv, g1, g2))
                     assert unflatten(both, want) == (nested.centre, tuple(
                         leg[:w] for leg, w in zip(nested.legs, want)))
@@ -168,7 +176,8 @@ class TestSpiderLayout:
             assert len(sp) == 1 + sum(lv)
             nested = unflatten(sp, lv)
             assert layout.leaf(sp) == nested.leaf_vector
-            for gamma, trunc in layout.truncations.items():
+            for gamma in product((0, 1), repeat=len(lv)):
+                trunc = layout.truncation(gamma)
                 legs = tuple(leg[:len(leg) - g]
                              for leg, g in zip(nested.legs, gamma))
                 want = tuple(len(leg) for leg in legs)
