@@ -151,11 +151,6 @@ _NO_VERTICES: frozenset[int] = frozenset()
 def _adjacency(G: Graph) -> list[dict[int, None]]:
     """Ascending neighbour dicts: the adjacency every oracle search walks."""
     return [dict.fromkeys(G.neighbors(v)) for v in G.vertices()]
-_GONE = object()  # the old value of a key that a search trail entry added
-
-# a process meets few templates, each with one plan per anchor plus the
-# unpinned one; the bound keeps a process meeting many from growing
-_PLAN_CACHE_SIZE = 256
 
 
 def _distances_to(
@@ -248,6 +243,10 @@ class _EdgeCheck:
     those two images pinned.  A copy it finds is spliced back into a
     witness of the whole pattern and verified on the graph plus (u, v).
 
+    `copy_through` returns the copy it found, the cycle's path or the
+    witness's paths, and `creates` is whether there was one.  The copy is
+    what `_AnswerMemo` keeps to answer a later "yes" without a search.
+
     Both searches tick the check's own unlimited `SearchBudget`, made anew
     by `start`: a creation test always runs to its answer.
     """
@@ -267,12 +266,29 @@ class _EdgeCheck:
         return self
 
     def creates(self, u: int, v: int) -> bool:
-        if self.M is None:
-            return self._creates_anchored(u, v)
-        # search towards an endpoint that already has a table
-        if u in self.tables and v not in self.tables:
-            u, v = v, u
-        return self.path(u, v, self.budget) is not None
+        return self.copy_through(u, v) is not None
+
+    def copy_through(
+        self, u: int, v: int
+    ) -> tuple[tuple[int, ...], ...] | None:
+        """A copy of the pattern in the graph plus (u, v) that uses (u, v),
+        as host paths, or None.  For a cycle it is the one path whose ends
+        (u, v) closes; otherwise the paths of the verified witness."""
+        if self.M is not None:
+            # search towards an endpoint that already has a table
+            if u in self.tables and v not in self.tables:
+                u, v = v, u
+            path = self.path(u, v, self.budget)
+            return None if path is None else (path,)
+        # the pins are in use, so no other path of the copy can take the
+        # edge (u, v): the rest of the copy is searched in the graph itself
+        for anchor in self.anchors:
+            anchored, _, x, y = anchor
+            for pins in ({x: u, y: v}, {x: v, y: u}):
+                sol = _template_search(self.adj, anchored, self.budget, pins)
+                if sol is not None:
+                    return self._verify(u, v, anchor, *sol)
+        return None
 
     def path(
         self, u: int, v: int, budget: SearchBudget
@@ -284,24 +300,13 @@ class _EdgeCheck:
             tables[v] = _distances_to(adj, v, length, _NO_VERTICES)
         return next(_walk_paths(adj, u, v, length, tables[v], budget), None)
 
-    def _creates_anchored(self, u: int, v: int) -> bool:
-        # the pins are in use, so no other path of the copy can take the
-        # edge (u, v): the rest of the copy is searched in the graph itself
-        for anchor in self.anchors:
-            anchored, _, x, y = anchor
-            for pins in ({x: u, y: v}, {x: v, y: u}):
-                sol = _template_search(self.adj, anchored, self.budget, pins)
-                if sol is not None:
-                    self._verify(u, v, anchor, *sol)
-                    return True
-        return False
-
     def _verify(
         self, u: int, v: int, anchor: tuple[Template, int, int, int],
         img: dict[int, int], paths: dict[int, tuple[int, ...]],
-    ) -> None:
+    ) -> tuple[tuple[int, ...], ...]:
         """Splice an embedding of the anchored template into a witness of
-        the pattern and verify it on the graph plus (u, v)."""
+        the pattern, verify it on the graph plus (u, v) and return its
+        paths."""
         anchored, r, x, y = anchor
         a, b, _ = self.tmpl.requirements[r]
         rest = [paths[i] for i in range(len(self.tmpl.requirements) - 1)]
@@ -314,6 +319,7 @@ class _EdgeCheck:
             w, len(adj), lambda p, q: q in adj[p] or {p, q} == e
         ) is not None:
             raise RuntimeError("anchored witness failed verification")
+        return w.paths
 
     def add(self, u: int, v: int) -> None:
         self.adj[u][v] = self.adj[v][u] = None
@@ -481,6 +487,13 @@ def _twin_classes(tmpl: Template) -> list[int]:
         cls.append(next(
             (p for p in firsts if shape({p: q, q: p}) == plain), q))
     return cls
+
+
+_GONE = object()  # the old value of a key that a search trail entry added
+
+# a process meets few templates, each with one plan per anchor plus the
+# unpinned one; the bound keeps a process meeting many from growing
+_PLAN_CACHE_SIZE = 256
 
 
 @lru_cache(maxsize=_PLAN_CACHE_SIZE)
@@ -929,6 +942,48 @@ def extremal_number(
     return ExtremalResult(n, desc, g.m, g, exhaustive=False)
 
 
+class _AnswerMemo:
+    """`check.creates` for the pairs `pairs` on graphs given as int masks
+    over the pair indices: recalled from an earlier answer where one
+    carries over, asked of `check` otherwise.  Being pattern-free is
+    hereditary, so (nogood and witness recording; Dechter, 1990):
+    - "no" on a graph stays "no" on each of its subgraphs; per pair, the
+      masks of the last `KEPT` graphs that answered "no" are kept;
+    - "yes" stays "yes" while every other edge of the copy found is
+      present; per pair, the mask of the last copy is kept.
+    So every answer is exact.  `check` must hold the graph of the mask it
+    is asked about.
+    """
+
+    KEPT = 4
+
+    def __init__(self, check: _EdgeCheck, pairs: list[tuple[int, int]]):
+        self.check = check
+        self.pairs = pairs
+        self.bit = {p: 1 << i for i, p in enumerate(pairs)}
+        self.free: list[list[int]] = [[] for _ in pairs]
+        self.copy = [1 << len(pairs)] * len(pairs)  # a bit no mask has
+
+    def creates(self, i: int, mask: int) -> bool:
+        """Does adding pair i to the graph `mask` create the pattern?"""
+        copy = self.copy[i]
+        if copy & mask == copy:
+            return True
+        for free in self.free[i]:
+            if mask | free == free:
+                return False
+        paths = self.check.copy_through(*self.pairs[i])
+        if paths is None:
+            self.free[i] = [mask, *self.free[i][:self.KEPT - 1]]
+            return False
+        bit, copy = self.bit, 0
+        for path in paths:
+            for a, b in zip(path, path[1:]):
+                copy |= bit[(a, b) if a < b else (b, a)]
+        self.copy[i] = copy & ~bit[self.pairs[i]]
+        return True
+
+
 def _branch_and_bound(
     n: int, check: _EdgeCheck, ex: list[int], budget: SearchBudget
 ) -> list[tuple[int, int]]:
@@ -940,17 +995,24 @@ def _branch_and_bound(
     removes pairs and admits a pair only while the graph stays
     pattern-free.  A set is kept only when it is strictly larger than the
     best so far, and every cut drops a branch that cannot be.
+
+    The search asks about one pair again on graphs a few edges apart, so
+    the questions go through an `_AnswerMemo`, which asks `check` only
+    what it cannot recall.  Its answers are exact: the nodes, the cuts
+    and the set returned are those of asking `check` every time.
     """
     pairs = list(combinations(range(n), 2))
     check.start(Graph(n, frozenset()))
+    memo = _AnswerMemo(check, pairs)
     chosen: list[tuple[int, int]] = []  # the included pairs, a stack
     room = [n - 1] * n  # chosen plus undecided pairs, per vertex
     # the averaging ceiling; for n < 3 the pair count bounds as tightly
     ceiling = n * ex[n - 1] // (n - 2) if n >= 3 else len(pairs)
     best: list[tuple[int, int]] = []
 
-    def search(i: int) -> bool:
-        """Decide pairs i onwards; True once `best` reaches the ceiling."""
+    def search(i: int, mask: int) -> bool:
+        """Decide pairs i onwards, with the pairs in `mask` chosen; True
+        once `best` reaches the ceiling."""
         budget.tick()
         if len(chosen) > len(best):
             best[:] = chosen
@@ -966,22 +1028,22 @@ def _branch_and_bound(
         # has more than len(best) - ex(n-1) pairs at every vertex
         if min(room) + ex[n - 1] <= len(best):
             return False
-        if not check.creates(u, w):
+        if not memo.creates(i, mask):
             check.add(u, w)
             chosen.append((u, w))
-            done = search(i + 1)
+            done = search(i + 1, mask | 1 << i)
             chosen.pop()
             check.remove(u, w)
             if done:
                 return True
         room[u] -= 1
         room[w] -= 1
-        done = search(i + 1)
+        done = search(i + 1, mask)
         room[u] += 1
         room[w] += 1
         return done
 
-    search(0)
+    search(0, 0)
     return best
 
 

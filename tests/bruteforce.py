@@ -367,7 +367,8 @@ def reference_branch_and_bound(
 ) -> ExtremalResult:
     """The search `extremal_number` ran before the hereditary bounds: the
     pairs in lexicographic order, include first, one `_EdgeCheck`
-    following the search, and no cut but the count of undecided pairs.
+    following the search and asked every time (no answer memo), and no
+    cut but the count of undecided pairs.
     Its witness is the lexicographically first largest pattern-free set.
     """
     pairs = list(combinations(range(n), 2))

@@ -665,15 +665,52 @@ class TestExtremal:
         desc = parse_pattern(pattern)
         assert extremal_number(n, desc) == reference_extremal(n, desc)
 
-    @pytest.mark.parametrize("n,pattern", [
+    SEARCHED = [
         *product(range(1, 7), PATTERNS),
         (7, "cycle:4"), (7, "cycle:5"), (7, "cycle:6"),
-    ])
+    ]
+
+    @pytest.mark.parametrize("n,pattern", SEARCHED)
     def test_matches_unbounded_branch_and_bound(self, n, pattern):
         # the hereditary cuts drop only branches that cannot beat the best
         # set, so value, witness and flag are those of the uncut search
         desc = parse_pattern(pattern)
         assert extremal_number(n, desc) == reference_branch_and_bound(n, desc)
+
+    @pytest.mark.parametrize("n,pattern", SEARCHED)
+    def test_memo_answers_match_containment(self, monkeypatch, n, pattern):
+        # every answer the memo gives without asking the check is judged
+        # afresh on the graph the search holds at that moment
+        desc = parse_pattern(pattern)
+        creates = oracle._AnswerMemo.creates
+        copy_through = oracle._EdgeCheck.copy_through
+        asked = []
+        recalled = set()
+
+        def counted(check, u, v):
+            asked.append((u, v))
+            return copy_through(check, u, v)
+
+        def judged(memo, i, mask):
+            before = len(asked)
+            known = creates(memo, i, mask)
+            if len(asked) == before:
+                adj = memo.check.adj
+                g = Graph.from_edges(len(adj), [
+                    p for j, p in enumerate(memo.pairs) if mask >> j & 1
+                ])
+                assert [d.keys() for d in adj] == \
+                    [set(g.neighbors(v)) for v in g.vertices()]
+                want = creates_by_containment(g, *memo.pairs[i], desc)
+                assert known == want, (pattern, g, memo.pairs[i])
+                recalled.add(known)
+            return known
+
+        monkeypatch.setattr(oracle._EdgeCheck, "copy_through", counted)
+        monkeypatch.setattr(oracle._AnswerMemo, "creates", judged)
+        extremal_number(n, desc)
+        if n >= 6:  # where every pattern here recalls both answers
+            assert recalled == {True, False}
 
     def test_c4_values_and_polarity_graph(self, monkeypatch):
         # OEIS A006855 for n = 1..8: the whole exhaustive range, and one
@@ -694,17 +731,22 @@ class TestExtremal:
         assert (g.n, g.m) == (q * q + q + 1, edges)
         assert contains(g, parse_pattern("cycle:4")).status == "absent"
 
-    @pytest.mark.parametrize("pattern,nodes", [
-        ("cycle:4", 4192), ("cycle:5", 1538), ("cycle:6", 1660),
-        ("kst:2,3", 291),
+    @pytest.mark.parametrize("n,pattern,value,nodes", [
+        pytest.param(6, "cycle:4", 7, 4192, id="cycle:4-4192"),
+        pytest.param(6, "cycle:5", 9, 1538, id="cycle:5-1538"),
+        pytest.param(6, "cycle:6", 11, 1660, id="cycle:6-1660"),
+        pytest.param(6, "kst:2,3", 10, 291, id="kst:2,3-291"),
+        # where the answer memo settles the most queries
+        pytest.param(7, "cycle:6", 13, 40022, id="n7-cycle:6-40022"),
+        pytest.param(7, "kst:2,3", 12, 70458, id="n7-kst:2,3-70458"),
     ])
-    def test_frozen_node_counts(self, pattern, nodes):
+    def test_frozen_node_counts(self, n, pattern, value, nodes):
         # what --node-limit counts: one tick per node of the search, which
         # moves only when the search order or its cuts do; the counts
-        # include the sub-searches for ex(j) with j = 1..5
+        # include the sub-searches for ex(j) with j < n
         budget = SearchBudget()
-        res = extremal_number(6, parse_pattern(pattern), budget)
-        assert res.exhaustive and budget.nodes == nodes
+        res = extremal_number(n, parse_pattern(pattern), budget)
+        assert res.exhaustive and (res.value, budget.nodes) == (value, nodes)
 
     @pytest.mark.parametrize("pattern", ["cycle:4", "kst:2,3"])
     def test_node_limit_inside_sub_searches_falls_back(self, pattern):
@@ -801,6 +843,23 @@ def creates_by_containment(g, u, v, desc):
     return contains(Graph(g.n, g.edges | {(u, v)}), desc).status == "found"
 
 
+def copy_witness(desc, paths):
+    """The witness of a copy that `_EdgeCheck.copy_through` returned: a
+    cycle's path, closed by the queried edge, laid along `cycle_order`;
+    otherwise each terminal read off the ends of the requirement paths,
+    which needs a pattern without isolated terminals."""
+    tmpl = compile_template(desc)
+    if as_cycle_length(desc) is not None:
+        (path,) = paths
+        img = dict(zip(cycle_order(instantiate(desc)), path))
+        paths = [tuple(img[x] for x in c) for c in requirement_chains(tmpl)]
+    else:
+        img = {}
+        for (a, b, _), p in zip(tmpl.requirements, paths):
+            img[a], img[b] = p[0], p[-1]
+    return _witness(desc, tmpl, img, paths)
+
+
 def first_addable_per_pair(g, desc):
     """The reference for `first_addable_edge`, judged pair by pair: the
     first non-edge (u, v) such that g + (u, v) is pattern-free."""
@@ -817,7 +876,8 @@ class TestEdgeCheck:
     def test_answers_track_added_edges(self, pattern):
         # one check follows each graph as it grows, as in hill climbing, so
         # a distance table that an added edge shortened must be dropped;
-        # the references build everything afresh for every pair
+        # the references build everything afresh for every pair.  A copy
+        # the check returns must be a copy in g + e that uses e
         desc = parse_pattern(pattern)
         for seed in range(6):
             rng = random.Random(seed)
@@ -829,8 +889,15 @@ class TestEdgeCheck:
             for e in pairs:
                 want = creates_by_containment(g, *e, desc)
                 u, v = e if rng.random() < 0.5 else e[::-1]
-                assert check.creates(u, v) == want, (pattern, seed, g, e)
+                assert check.creates(u, v) is want, (pattern, seed, g, e)
                 assert adding_edge_creates(g, u, v, desc) == want
+                paths = check.copy_through(u, v)
+                assert (paths is not None) == want
+                if paths is not None:
+                    w = copy_witness(desc, paths)
+                    assert verify_embedding(Graph(n, g.edges | {e}), w)
+                    assert any({a, b} == {u, v}
+                               for p in w.paths for a, b in zip(p, p[1:]))
                 if not want:
                     check.add(u, v)
                     g = Graph(n, g.edges | {e})
