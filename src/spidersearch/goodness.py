@@ -190,8 +190,7 @@ def classify_paths(G: Graph, k: int, thresholds: Thresholds) -> PathClassificati
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    levels = {1: _classify_level(set(G.sorted_edges()), G.m, _ends,
-                                 math.inf)}
+    levels = {1: _classify_level(set(G.edges), G.m, _ends, math.inf)}
     for ell in range(2, k + 1):
         bound = thresholds.f(ell)
         prev_good = levels[ell - 1].good
@@ -216,12 +215,6 @@ class SpiderClassification:
     def not_good_admissible(self, lv: tuple[int, ...]) -> set[FlatSpider]:
         lvl = self.levels[lv]
         return lvl.admissible - lvl.good
-
-
-def _sub_vectors(lv: tuple[int, ...]) -> list[tuple[int, ...]]:
-    vecs = list(product(*(range(1, x + 1) for x in lv)))
-    vecs.sort(key=lambda v: (sum(v), v))
-    return vecs
 
 
 def _unit(vec: tuple[int, ...], i: int) -> tuple[int, ...]:
@@ -292,11 +285,11 @@ def classify_spiders(
     A spider is admissible iff each full leg is a good path and each
     single-leg truncation by one edge is a good spider (which recursively
     forces all deeper truncations).  Legs of length 1 need neither check:
-    an edge is a good path and has no truncation.  Vectors are processed in
-    increasing total length; only the all-ones vector is enumerated, and
-    each longer vector is built from the good spiders one edge shorter
-    (`_extend_level`).  Path goodness is looked up in per-length sets that
-    hold both orientations of every good path.
+    an edge is a good path and has no truncation.  Only the all-ones vector
+    is enumerated, and each longer vector is built from the good spiders
+    one edge shorter (`_extend_level`), which `product` order lists first.
+    Path goodness is looked up in per-length sets that hold both
+    orientations of every good path.
     """
     if any(x < 1 for x in lv):
         raise ValueError("length vector entries must be >= 1")
@@ -307,7 +300,7 @@ def classify_spiders(
         for ell, lvl in paths.levels.items() if 2 <= ell <= max(lv)
     }
     levels: dict[tuple[int, ...], Level] = {}
-    for vec in _sub_vectors(lv):
+    for vec in product(*(range(1, x + 1) for x in lv)):
         bound = thresholds.f(sum(vec))
         layout = spider_layout(vec)
         if max(vec) == 1:

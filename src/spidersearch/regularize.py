@@ -1,9 +1,10 @@
 """Extraction of a dense almost-regular induced subgraph.
 
-Procedure: peel low-degree vertices, split the survivors into dyadic
-degree bands, score every band and every union of two adjacent bands by
-e / m^(1+eps), and keep the best candidate.  Ties go to the larger, then
-lexicographically smallest, vertex set.
+Procedure: peel, in rounds, every vertex whose degree is below half the
+average degree, split the survivors into dyadic degree bands, score every
+band and every union of two adjacent bands by e / m^(1+eps), and keep the
+best candidate.  Ties go to the larger, then lexicographically smallest,
+vertex set.
 """
 
 from __future__ import annotations
@@ -29,9 +30,13 @@ def is_almost_regular(G: Graph, K: float) -> bool:
 
 def theoretical_K(epsilon: float) -> float:
     """Reference constant 20 * 2^(1/eps^2 + 1); astronomically large for
-    small eps, recorded for comparison only.
+    small eps, recorded for comparison only, and math.inf once it leaves
+    the float range (eps below about 0.0313).
     """
-    return 20.0 * 2.0 ** (1.0 / epsilon**2 + 1.0)
+    try:
+        return 20.0 * 2.0 ** (1.0 / epsilon**2 + 1.0)
+    except (OverflowError, ZeroDivisionError):  # eps**2 may underflow to 0
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -51,29 +56,32 @@ def _achieved_K(G: Graph) -> float:
     return math.inf if mind == 0 else G.max_degree() / mind
 
 
-def _peel(G: Graph) -> list[int]:
-    """Iteratively drop the smallest-id vertex whose degree is below half
-    the current average degree; return the surviving original ids.
+def _peel(G: Graph) -> dict[int, int]:
+    """Remove, round after round, every vertex whose degree is below half
+    the average degree (deg * alive < edges) until a round removes none;
+    return {survivor: its degree among the survivors}, in ascending id
+    order.
+
+    Removing such a vertex raises the average and lowers the other
+    degrees, so a vertex below the bound stays below it until it is
+    removed, and a round may remove its vertices in any order.  Nor do
+    the survivors depend on the order.  With b half the final average,
+    every removed vertex was below b when it went and every survivor has
+    degree >= b, so the survivors are the b-core, and cores nest.  An
+    order ending inside another's survivors Y would first remove a vertex
+    of Y from some X containing Y; X is Y plus vertices below b, so half
+    of X's average is at most b, and that vertex was not below it.
     """
-    alive = set(G.vertices())
-    deg = {v: G.degree(v) for v in alive}
+    deg = dict(enumerate(G.degrees()))
     edges = G.m
-    while len(alive) > 1 and edges > 0:
-        avg = 2 * edges / len(alive)
-        victim = None
-        for v in sorted(alive):
-            if deg[v] < avg / 2:
-                victim = v
-                break
-        if victim is None:
-            break
-        alive.remove(victim)
-        for u in G.neighbors(victim):
-            if u in alive:
-                deg[u] -= 1
-                edges -= 1
-        del deg[victim]
-    return sorted(alive)
+    while low := [v for v, d in deg.items() if d * len(deg) < edges]:
+        for v in low:
+            del deg[v]
+            for u in G.neighbors(v):
+                if u in deg:
+                    deg[u] -= 1
+                    edges -= 1
+    return deg
 
 
 def extract_almost_regular(G: Graph, epsilon: float) -> RegularizeReport:
@@ -83,35 +91,26 @@ def extract_almost_regular(G: Graph, epsilon: float) -> RegularizeReport:
         raise ValueError("epsilon must be in (0,1)")
     if G.n < 1:
         raise ValueError("graph must be nonempty")
-    survivors = _peel(G)
-    sub, idx = G.induced(survivors)
-    back = {i: v for v, i in idx.items()}
-
+    deg = _peel(G)
     bands: dict[int, list[int]] = {}
-    for v in sub.vertices():
-        d = sub.degree(v)
-        if d == 0:
-            continue
-        bands.setdefault(d.bit_length() - 1, []).append(back[v])
+    for v, d in deg.items():
+        if d:
+            bands.setdefault(d.bit_length() - 1, []).append(v)
 
     candidates: list[tuple[int, ...]] = []
-    levels = sorted(bands)
-    for i, lvl in enumerate(levels):
-        candidates.append(tuple(sorted(bands[lvl])))
-        if i + 1 < len(levels) and levels[i + 1] == lvl + 1:
+    for lvl in sorted(bands):
+        candidates.append(tuple(bands[lvl]))
+        if lvl + 1 in bands:
             candidates.append(tuple(sorted(bands[lvl] + bands[lvl + 1])))
     if not candidates:
         # edgeless input: the peeled graph is the only candidate
-        candidates.append(tuple(survivors))
+        candidates.append(tuple(deg))
 
     exponent = 1.0 + epsilon
-
-    def score(vs: tuple[int, ...]) -> float:
-        g, _ = G.induced(vs)
-        return g.m / len(vs) ** exponent if vs else 0.0
-
-    best = min(candidates, key=lambda vs: (-score(vs), -len(vs), vs))
-    bg, _ = G.induced(best)
+    graphs = {vs: G.induced(vs)[0] for vs in candidates}
+    best = min(graphs, key=lambda vs: (-graphs[vs].m / len(vs) ** exponent,
+                                       -len(vs), vs))
+    bg = graphs[best]
     edge_exp = (
         math.log(bg.m) / math.log(bg.n) - 1.0 if bg.n > 1 and bg.m > 0 else 0.0
     )

@@ -419,3 +419,29 @@ def reference_find_cycle(
         if p is not None:
             return p
     return None
+
+
+def reference_peel(G: Graph) -> list[int]:
+    """The peel `regularize._peel` ran before it removed in rounds:
+    iteratively drop the smallest-id vertex whose degree is below half
+    the current average degree; return the surviving original ids.
+    """
+    alive = set(G.vertices())
+    deg = {v: G.degree(v) for v in alive}
+    edges = G.m
+    while len(alive) > 1 and edges > 0:
+        avg = 2 * edges / len(alive)
+        victim = None
+        for v in sorted(alive):
+            if deg[v] < avg / 2:
+                victim = v
+                break
+        if victim is None:
+            break
+        alive.remove(victim)
+        for u in G.neighbors(victim):
+            if u in alive:
+                deg[u] -= 1
+                edges -= 1
+        del deg[victim]
+    return sorted(alive)

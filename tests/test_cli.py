@@ -110,6 +110,16 @@ class TestRegularize:
         assert out == ("m=8\ne=8\nachieved_K=1.000000\nexponent=0.000000\n"
                        "theoretical_K=6.400000e+02\nvertices=0,1,2,3,4,5,6,7\n")
 
+    @pytest.mark.parametrize("eps", ["0.03", "1e-200"])
+    def test_theoretical_K_past_float_range_exit_0(self, capsys, tmp_path, eps):
+        # 2^(1/eps^2 + 1) leaves the float range below eps ~ 0.0313
+        path = write_graph(tmp_path, cycle_graph(8))
+        code, out, err = run(capsys, "regularize", "--graph", path,
+                             "--epsilon", eps)
+        assert (code, err) == (0, "")
+        assert out == ("m=8\ne=8\nachieved_K=1.000000\nexponent=0.000000\n"
+                       "theoretical_K=inf\nvertices=0,1,2,3,4,5,6,7\n")
+
 
 class TestSpiders:
     def test_count_c8(self, capsys, tmp_path):

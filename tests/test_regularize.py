@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from spidersearch.graph import (
@@ -6,14 +8,71 @@ from spidersearch.graph import (
     complete_graph,
     cycle_graph,
     random_gnm,
+    subdivide,
 )
 from spidersearch.regularize import (
+    _peel,
     extract_almost_regular,
     is_almost_regular,
     theoretical_K,
 )
 
-from conftest import random_small_graphs
+from bruteforce import reference_peel
+from conftest import criterion5_hosts, random_small_graphs
+
+
+def subdivided_kst_with_chords(seed: int, count: int):
+    rng = random.Random(seed)
+    for _ in range(count):
+        g = subdivide(complete_bipartite(rng.randint(1, 4), rng.randint(1, 5)),
+                      rng.randint(1, 4))
+        chords = random_gnm(g.n, rng.randint(0, g.n), rng.randrange(2**30))
+        yield Graph(g.n, g.edges | chords.edges)
+
+
+def star_clique_unions(seed: int, count: int):
+    """A star and a clique on shuffled ids, plus isolated vertices."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        leaves, clique, isolated = (rng.randint(0, 12), rng.randint(0, 7),
+                                    rng.randint(0, 4))
+        n = 1 + leaves + clique + isolated
+        ids = list(range(n))
+        rng.shuffle(ids)
+        hub, rest = ids[0], ids[1:]
+        edges = [(hub, v) for v in rest[:leaves]]
+        members = rest[leaves:leaves + clique]
+        edges += [(a, b) for i, a in enumerate(members) for b in members[:i]]
+        yield Graph.from_edges(n, edges)
+
+
+def peel_hosts():
+    yield from (g for g, _, _ in criterion5_hosts())
+    yield from random_small_graphs(300, 30, seed=25, density=2.5)
+    yield from subdivided_kst_with_chords(seed=26, count=150)
+    yield from star_clique_unions(seed=27, count=150)
+
+
+class TestPeel:
+    def test_matches_one_at_a_time_reference(self):
+        for g in peel_hosts():
+            deg = _peel(g)
+            assert list(deg) == reference_peel(g)
+            sub, idx = g.induced(deg)
+            assert deg == {v: sub.degree(idx[v]) for v in deg}
+
+    def test_survivors_do_not_depend_on_vertex_ids(self):
+        # the smallest-id peel removes in a different order once the ids
+        # are permuted; rounds are one more order, so all must agree
+        rng = random.Random(28)
+        for g in peel_hosts():
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            h = Graph.from_edges(g.n, ((perm[u], perm[v]) for u, v in g.edges))
+            back = {p: v for v, p in enumerate(perm)}
+            survivors = sorted(back[p] for p in reference_peel(h))
+            assert survivors == reference_peel(g)
+            assert sorted(back[p] for p in _peel(h)) == survivors
 
 
 class TestIsAlmostRegular:
@@ -94,3 +153,4 @@ class TestExtract:
         assert theoretical_K(1.0) == pytest.approx(80.0)
         rep = extract_almost_regular(cycle_graph(5), 0.5)
         assert rep.theoretical_K == pytest.approx(20 * 2 ** (1 / 0.25 + 1))
+
