@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from collections import Counter
 from functools import cache
@@ -25,7 +24,6 @@ from .finder import find_kstk
 from .goodness import (
     Level,
     Thresholds,
-    check_L,
     classify_paths,
     classify_spiders,
     not_good_ratio,
@@ -223,8 +221,6 @@ def _level_counts(lvl: Level, objects: int) -> dict:
 
 def _cmd_classify(args) -> int:
     g = _load_graph(args.graph)
-    if not math.isfinite(args.L):  # params print L, and JSON has no inf/NaN
-        raise ValueError("L must be a finite number")
     thr = Thresholds.parse(args.threshold, args.L)
     paths = classify_paths(g, args.k, thr)
     payload: dict = {"paths": {str(ell): _level_counts(lvl, lvl.total)
@@ -258,7 +254,6 @@ def _cmd_classify(args) -> int:
 def _cmd_find(args) -> int:
     g = _load_graph(args.graph)
     desc = parse_pattern(args.pattern)
-    check_L(args.L)  # on every route, not only where refinement reads it
     thr = Thresholds.parse(args.threshold, args.L)
     budget = SearchBudget(args.node_limit)
     if desc.kind == "kst" and desc.s >= 2 and desc.t >= 2 and desc.subdivision >= 2:

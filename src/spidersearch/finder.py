@@ -169,9 +169,7 @@ def build_paths(
     a disjoint member with the same leaf vector, then truncates).  Path i
     runs from leaf i of r0 to leaf i of the last column.
 
-    The chain stops after the last column that actually extends a path;
-    trailing all-zero columns are skipped, so equal targets need no chain
-    at all.
+    Equal targets need no chain.
     """
     lv = fam.lv
     s = len(lv)
@@ -198,10 +196,7 @@ def build_paths(
     if zset & set(start):
         raise ValueError("Z intersects the starting leaf vector")
 
-    last = max(
-        (j for j, col in enumerate(cols) if any(col)), default=-1
-    )
-    J = last + 1
+    J = len(cols) if any(map(any, cols)) else 0
 
     def add_column(col: tuple[int, ...]) -> None:
         if len(set(col)) != s:
@@ -390,17 +385,7 @@ def find_kstk(
     else:
         path_tables = classify_paths(G, k, thresholds)
         spider_tables = classify_spiders(G, (k,) * s, thresholds, path_tables)
-
-        # threshold consistency: no leaf vector may carry more good spiders
-        # than the threshold itself (impossible with exact counting)
         levels = spider_tables.levels
-        full = levels[(k,) * s]
-        bound = thresholds.f(s * k)
-        good_by_leaf = Counter(map(spider_layout((k,) * s).leaf, full.good))
-        for leaf, cnt in good_by_leaf.items():
-            if cnt > bound:
-                raise RuntimeError(f"threshold consistency broken at leaf {leaf}")
-
         vectors = sorted(
             levels,
             key=lambda v: (-(len(levels[v].admissible) - len(levels[v].good)), v),

@@ -116,8 +116,11 @@ class Thresholds:
     @classmethod
     def parse(cls, text: str, L: float) -> "Thresholds":
         """`paper` (the recursion with this L), `const:N`, or
-        `custom:a,b,...` (f(1) = a, f(2) = b, ...).
+        `custom:a,b,...` (f(1) = a, f(2) = b, ...).  L is checked under
+        every mode, before the text: refinement reads it whatever the
+        thresholds, and reports print it.
         """
+        check_L(L)
         if text == "paper":
             return cls.paper_recursion(L)
         mode, _, arg = text.partition(":")

@@ -53,8 +53,6 @@ class Graph:
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         es = set()
         for u, v in edges:
-            if u == v:
-                raise ValueError(f"loop at vertex {u}")
             e = _norm_edge(u, v)
             if e in es:
                 raise ValueError(f"duplicate edge {e}")
@@ -94,16 +92,18 @@ class Graph:
     def induced(self, vs: Iterable[int]) -> tuple["Graph", dict[int, int]]:
         """Induced subgraph on `vs`, relabeled densely in sorted order.
 
-        Returns the subgraph and the old-id -> new-id mapping.
+        Returns the subgraph and the old-id -> new-id mapping.  The edges
+        of a valid graph, relabelled in ascending order, are already
+        normalised and distinct.
         """
         keep = sorted(set(vs))
         idx = {v: i for i, v in enumerate(keep)}
-        es = [
+        es = frozenset(
             (idx[u], idx[v])
             for u, v in self.edges
             if u in idx and v in idx
-        ]
-        return Graph.from_edges(len(keep), es), idx
+        )
+        return Graph(len(keep), es), idx
 
     # -- serialization ----------------------------------------------------
 

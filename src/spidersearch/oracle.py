@@ -588,7 +588,9 @@ def _template_search(
     vertices, the longer paths and the matching is undone from one trail.
     One tick of `budget` per search node and per `_walk_paths` node (the
     edge check ticks its own unlimited budget); terminals that no
-    requirement touches take the smallest unused vertices last.
+    requirement touches take the smallest unused vertices last; their
+    pattern degree is 0, so the size gate has counted a host vertex for
+    each.
     """
     reqs = tmpl.requirements
     pins = pins or {}
@@ -754,14 +756,10 @@ def _template_search(
             paths[r] = (img[a], img[b])
         elif length == 2:
             paths[r] = (img[a], middle[r], img[b])
-    # every embedding covers the same number of vertices, so when too few
-    # are left here, none is left in any other embedding either
     loose = [t for t in range(tmpl.num_terminals) if t not in img]
     free = [
         x for x in range(len(adj)) if x not in used and owner.get(x) is None
     ]
-    if len(free) < len(loose):
-        return None
     img.update(zip(loose, free))
     return img, paths
 

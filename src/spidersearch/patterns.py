@@ -84,6 +84,8 @@ def parse_pattern(text: str) -> PatternDescriptor:
     if blow is not None and blow < 1:
         raise ValueError("blowup modifier must be >= 1")
     kind, _, args = base.partition(":")
+    if blow is not None and kind != "spider":
+        raise ValueError("blowup modifier applies to spider patterns only")
     if kind == "kst":
         parts = args.split(",")
         if len(parts) != 2:
@@ -91,15 +93,11 @@ def parse_pattern(text: str) -> PatternDescriptor:
         s, t = num(parts[0]), num(parts[1])
         if s < 1 or t < 1:
             raise ValueError("kst part sizes must be positive")
-        if blow is not None:
-            raise ValueError("blowup modifier applies to spider patterns only")
         return PatternDescriptor(kind="kst", s=s, t=t, subdivision=k)
     if kind == "cycle":
         length = num(args)
         if length < 3:
             raise ValueError("cycle length must be at least 3")
-        if blow is not None:
-            raise ValueError("blowup modifier applies to spider patterns only")
         return PatternDescriptor(kind="cycle", length=length, subdivision=k)
     if kind == "spider":
         legs = tuple(num(x) for x in args.split(","))
@@ -125,8 +123,6 @@ def parse_pattern(text: str) -> PatternDescriptor:
             if e in edges:
                 raise ValueError(f"pattern edge {pair} repeats an earlier edge")
             edges.add(e)
-        if blow is not None:
-            raise ValueError("blowup modifier applies to spider patterns only")
         return PatternDescriptor(
             kind="arbitrary",
             num_vertices=n,

@@ -92,6 +92,15 @@ class TestGen:
         code, _, err = run(capsys, "gen", "--kind", "random")
         assert code == 2 and "error" in err
 
+    @pytest.mark.parametrize("argv,message", [
+        (("--kind", "kst"), "kst generation needs --s and --t"),
+        (("--kind", "kst", "--s", "2"), "kst generation needs --s and --t"),
+        (("--kind", "cycle"), "cycle generation needs --length"),
+    ])
+    def test_missing_shape_params_exit_2(self, capsys, argv, message):
+        code, out, err = run(capsys, "gen", *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     @pytest.mark.parametrize("n,m", [("-3", "0"), ("-3", "1"), ("5", "-1")])
     def test_negative_n_or_m_exit_2(self, capsys, n, m):
         # a header with a negative count is one that --graph rejects
@@ -109,6 +118,16 @@ class TestRegularize:
         assert code == 0
         assert out == ("m=8\ne=8\nachieved_K=1.000000\nexponent=0.000000\n"
                        "theoretical_K=6.400000e+02\nvertices=0,1,2,3,4,5,6,7\n")
+
+    @pytest.mark.parametrize("n,vertices", [(3, "0,1,2"), (1, "0")])
+    def test_edgeless_host(self, capsys, tmp_path, n, vertices):
+        # no edge to peel or to band: every vertex survives, with K = 1
+        path = write_graph(tmp_path, Graph(n, frozenset()))
+        code, out, err = run(capsys, "regularize", "--graph", path,
+                             "--epsilon", "0.5")
+        assert (code, err) == (0, "")
+        assert out == (f"m={n}\ne=0\nachieved_K=1.000000\nexponent=0.000000\n"
+                       f"theoretical_K=6.400000e+02\nvertices={vertices}\n")
 
     @pytest.mark.parametrize("eps", ["0.03", "1e-200"])
     def test_theoretical_K_past_float_range_exit_0(self, capsys, tmp_path, eps):
@@ -213,6 +232,17 @@ class TestClassify:
         code, out, err = run(capsys, "classify", "--graph", path, "--k", "2",
                              "--threshold", threshold, "--L", L)
         assert (code, out, err) == (2, "", "error: L must be a finite number\n")
+
+    @pytest.mark.parametrize("threshold", ["paper", "const:1", "custom:1,1",
+                                           "bogus"])
+    def test_L_below_one_exit_2_under_every_threshold(
+        self, capsys, tmp_path, threshold
+    ):
+        # Thresholds.parse checks L before it reads the threshold text
+        path = write_graph(tmp_path, cycle_graph(8))
+        code, out, err = run(capsys, "classify", "--graph", path, "--k", "2",
+                             "--threshold", threshold, "--L", "0.5")
+        assert (code, out, err) == (2, "", "error: L must be >= 1\n")
 
 
 class TestFind:
@@ -471,6 +501,15 @@ class TestSweep:
         lines = out.splitlines()
         assert lines[0] == "n,seed,edges,verified,wall_ms"
         assert len([ln for ln in lines if not ln.startswith("#")]) == 5
+
+    def test_slope_na_when_upper_half_has_one_n(self, capsys):
+        # the fit reads the upper half of the n range, here n = 6 alone:
+        # two points with the same x leave the slope undefined
+        code, out, _ = run(capsys, "sweep", "--pattern", "cycle:4",
+                           "--n-range", "5:6", "--seeds", "2")
+        assert code == 0 and out.splitlines()[-3:] == [
+            "# slope=NA", "# theory=NA",
+            "# note=heuristic lower bound, not an extremal estimate"]
 
     def test_bad_range_exit_2(self, capsys):
         # a missing or non-numeric bound names the option, not int()

@@ -213,6 +213,39 @@ class TestDensity:
             assert rooted_density(pat, sub) == rooted_density(pat2, sub2)
 
 
+class TestInduced:
+    @staticmethod
+    def rebuilt(g, vs):
+        """The induced subgraph rebuilt through `Graph.from_edges`."""
+        idx = {v: i for i, v in enumerate(sorted(set(vs)))}
+        return Graph.from_edges(len(idx), [
+            (idx[u], idx[v]) for u, v in g.edges if u in idx and v in idx
+        ]), idx
+
+    def test_matches_from_edges_rebuild(self):
+        # drawn with repeats, and from ids up to n + 1, which are not in g
+        rng = random.Random(17)
+        for g in random_small_graphs(80, 12, seed=23, density=2.0):
+            for _ in range(5):
+                vs = [rng.randrange(g.n + 2)
+                      for _ in range(rng.randint(0, g.n + 2))]
+                sub, idx = g.induced(vs)
+                want, want_idx = self.rebuilt(g, vs)
+                assert (sub, idx) == (want, want_idx)
+                assert [sub.neighbors(v) for v in sub.vertices()] == \
+                    [want.neighbors(v) for v in want.vertices()]
+
+    def test_from_edges_loop_rejected_by_the_constructor(self):
+        with pytest.raises(ValueError, match="^loop at vertex 1$"):
+            Graph.from_edges(3, [(0, 1), (1, 1)])
+
+    def test_repeated_ids_and_an_id_past_n(self):
+        g = cycle_graph(5)
+        sub, idx = g.induced([4, 0, 4, 7, 1])
+        assert idx == {0: 0, 1: 1, 4: 2, 7: 3}
+        assert sub == Graph.from_edges(4, [(0, 1), (0, 2)])
+
+
 class TestBalance:
     def test_criterion_examples(self):
         assert spider_balance_criterion((1, 2, 3))

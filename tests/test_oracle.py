@@ -157,6 +157,22 @@ class TestContains:
         assert res.status == "found" and verify_embedding(g, res.witness)
         assert res.witness.terminals == (2, 0, 3, 1, 4)
 
+    # a pattern vertex on no path has degree 0, so the size gate counts a
+    # host vertex for it; the leaf never runs short of free vertices
+
+    @pytest.mark.parametrize("edges", [
+        es for r in (1, 2, 3) for es in combinations(combinations(range(3), 2), r)
+    ])
+    def test_loose_vertex_found_on_three_vertices(self, edges):
+        g = Graph(3, frozenset(edges))
+        res = contains(g, parse_pattern("arbitrary:3:0-1"))
+        assert res.status == "found" and verify_embedding(g, res.witness)
+
+    @pytest.mark.parametrize("host", [complete_graph(2), Graph(3, frozenset())])
+    def test_loose_vertex_absent_from_the_sizes_alone(self, host):
+        res = contains(host, parse_pattern("arbitrary:3:0-1"))
+        assert (res.status, res.nodes) == ("absent", 0)
+
     def test_budget_is_distinct_outcome(self):
         g = random_gnm(16, 20, seed=7)
         assert contains(g, parse_pattern("kst:2,2^2")).status == "absent"
@@ -813,6 +829,18 @@ class TestHillClimb:
             for v in range(u + 1, 9):
                 if not g.has_edge(u, v):
                     assert creates_by_containment(g, u, v, desc)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_loose_pattern_vertex_matches_bruteforce(self, n):
+        # the edge check pins the edge's ends, so only the size gate keeps
+        # the loose vertex out of a 2-vertex host
+        desc = parse_pattern("arbitrary:3:0-1")
+        H = instantiate(desc)
+        g = hill_climb_free(n, desc, 50, seed=0)
+        assert not brute_contains(g, H)
+        for u, v in combinations(range(n), 2):
+            if not g.has_edge(u, v):
+                assert brute_contains(Graph(n, g.edges | {(u, v)}), H)
 
     # (pattern, n, seed, iterations, edges, SHA-256 of Graph.dump()): the
     # graphs the per-call exact-path search produced before distance

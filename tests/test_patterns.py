@@ -37,6 +37,17 @@ class TestParse:
             parse_pattern(text)
         assert "invalid literal" not in str(exc.value)  # int()'s own message
 
+    @pytest.mark.parametrize("text", [
+        "kst:2,2*3", "cycle:6*2", "arbitrary:2:0-1*2",
+        # the blowup is checked first, before the kind's own arguments
+        "kst:2*3", "cycle:2*2", "arbitrary:2:1-1*2",
+    ])
+    def test_blowup_outside_spiders(self, text):
+        with pytest.raises(ValueError,
+                           match="^blowup modifier applies to spider "
+                                 "patterns only$"):
+            parse_pattern(text)
+
 
 class TestTemplates:
     def test_kst_template_shape(self):
@@ -81,3 +92,7 @@ class TestExponent:
 
     def test_none_for_cycles(self):
         assert theoretical_exponent(parse_pattern("cycle:8")) is None
+
+    def test_none_for_one_leg_spider(self):
+        # a path, outside the formula's s >= 2
+        assert theoretical_exponent(parse_pattern("spider:3")) is None
