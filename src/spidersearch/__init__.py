@@ -44,6 +44,7 @@ from .finder import (
     refine_family,
 )
 from .oracle import (
+    ClimbResult,
     ContainmentResult,
     ExtremalResult,
     SearchBudget,

@@ -306,7 +306,7 @@ def _cmd_oracle(args) -> int:
         return 0
     # hillclimb
     desc = parse_pattern(args.pattern)
-    g = hill_climb_free(args.n, desc, args.iters, args.seed)
+    g = hill_climb_free(args.n, desc, args.iters, args.seed).graph
     _emit(g.dump(), args.out, args.quiet)
     return 0
 

@@ -244,8 +244,10 @@ class _EdgeCheck:
     witness of the whole pattern and verified on the graph plus (u, v).
 
     `copy_through` returns the copy it found, the cycle's path or the
-    witness's paths, and `creates` is whether there was one.  The copy is
-    what `_AnswerMemo` keeps to answer a later "yes" without a search.
+    verified witness, and `creates` is whether there was one.  The copy is
+    what `_AnswerMemo` keeps to answer a later "yes" without a search, and
+    what `hill_climb_free` hands back as the certificate of a rejected
+    pair.
 
     Both searches tick the check's own unlimited `SearchBudget`, made anew
     by `start`: a creation test always runs to its answer.
@@ -270,16 +272,15 @@ class _EdgeCheck:
 
     def copy_through(
         self, u: int, v: int
-    ) -> tuple[tuple[int, ...], ...] | None:
+    ) -> tuple[int, ...] | Witness | None:
         """A copy of the pattern in the graph plus (u, v) that uses (u, v),
-        as host paths, or None.  For a cycle it is the one path whose ends
-        (u, v) closes; otherwise the paths of the verified witness."""
+        or None.  For a cycle it is the one path whose ends (u, v) closes,
+        from either end; otherwise the verified witness."""
         if self.M is not None:
             # search towards an endpoint that already has a table
             if u in self.tables and v not in self.tables:
                 u, v = v, u
-            path = self.path(u, v, self.budget)
-            return None if path is None else (path,)
+            return self.path(u, v, self.budget)
         # the pins are in use, so no other path of the copy can take the
         # edge (u, v): the rest of the copy is searched in the graph itself
         for anchor in self.anchors:
@@ -303,10 +304,9 @@ class _EdgeCheck:
     def _verify(
         self, u: int, v: int, anchor: tuple[Template, int, int, int],
         img: dict[int, int], paths: dict[int, tuple[int, ...]],
-    ) -> tuple[tuple[int, ...], ...]:
+    ) -> Witness:
         """Splice an embedding of the anchored template into a witness of
-        the pattern, verify it on the graph plus (u, v) and return its
-        paths."""
+        the pattern, verify it on the graph plus (u, v) and return it."""
         anchored, r, x, y = anchor
         a, b, _ = self.tmpl.requirements[r]
         rest = [paths[i] for i in range(len(self.tmpl.requirements) - 1)]
@@ -319,7 +319,7 @@ class _EdgeCheck:
             w, len(adj), lambda p, q: q in adj[p] or {p, q} == e
         ) is not None:
             raise RuntimeError("anchored witness failed verification")
-        return w.paths
+        return w
 
     def add(self, u: int, v: int) -> None:
         self.adj[u][v] = self.adj[v][u] = None
@@ -390,24 +390,6 @@ def adding_edge_creates(
     """
     e = (min(u, v), max(u, v))
     return contains(Graph(G.n, G.edges | {e}), desc).status == "found"
-
-
-def first_addable_edge(
-    G: Graph, desc: PatternDescriptor
-) -> tuple[int, int] | None:
-    """The first non-edge (u, v), u < v in lexicographic order, such that
-    G + (u, v) is pattern-free; None when there is none, that is when G is
-    edge-maximal or already contains the pattern.  One `_EdgeCheck`, the
-    check behind hill climbing, scans the pairs, so for cycle-shaped
-    patterns one distance table per target vertex serves all pairs.  The
-    scan assumes a pattern-free G, so the one pair it would return is
-    confirmed by `adding_edge_creates`.
-    """
-    check = _EdgeCheck(desc).start(G)
-    for u, v in combinations(G.vertices(), 2):
-        if not G.has_edge(u, v) and not check.creates(u, v):
-            return None if adding_edge_creates(G, u, v, desc) else (u, v)
-    return None
 
 
 # -- containment -------------------------------------------------------------
@@ -936,7 +918,7 @@ def extremal_number(
             return ExtremalResult(n, desc, g.m, g, exhaustive=True)
         except BudgetExhausted:
             pass
-    g = hill_climb_free(n, desc, iterations=20 * n * n, seed=0)
+    g = hill_climb_free(n, desc, iterations=20 * n * n, seed=0).graph
     return ExtremalResult(n, desc, g.m, g, exhaustive=False)
 
 
@@ -970,12 +952,12 @@ class _AnswerMemo:
         for free in self.free[i]:
             if mask | free == free:
                 return False
-        paths = self.check.copy_through(*self.pairs[i])
-        if paths is None:
+        found = self.check.copy_through(*self.pairs[i])
+        if found is None:
             self.free[i] = [mask, *self.free[i][:self.KEPT - 1]]
             return False
         bit, copy = self.bit, 0
-        for path in paths:
+        for path in (found,) if self.check.M is not None else found.paths:
             for a, b in zip(path, path[1:]):
                 copy |= bit[(a, b) if a < b else (b, a)]
         self.copy[i] = copy & ~bit[self.pairs[i]]
@@ -1048,17 +1030,32 @@ def _branch_and_bound(
 # -- hill climbing -------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class ClimbResult:
+    """A hill-climbed graph and its certificate of edge-maximality.
+    `copies[r]`, r the rank of a pair in `combinations` order, is what
+    `_EdgeCheck.copy_through` found when the run rejected that pair, and
+    None for a pair the run kept.  A run only adds edges, so each copy
+    is still a copy of the pattern in the graph plus its pair.
+    """
+
+    graph: Graph
+    copies: list[tuple[int, ...] | Witness | None]
+
+
 def hill_climb_free(
     n: int, desc: PatternDescriptor, iterations: int, seed: int
-) -> Graph:
+) -> ClimbResult:
     """Randomized maximal pattern-free graph: add random edges, keeping an
     addition only when the graph stays pattern-free; restart when a run
     saturates and the test budget remains.  Every returned graph is
-    edge-maximal: a run only ends once no candidate edge is addable.
+    edge-maximal: a run only ends once no candidate edge is addable, and
+    it returns the copy that blocks each non-edge (see
+    `first_unblocked_pair`).
 
-    One `_EdgeCheck`, the check behind `first_addable_edge` and
-    `extremal_number`, tests every candidate; for cycle-shaped patterns
-    its distance tables are shared between candidate tests.
+    One `_EdgeCheck`, the check behind `extremal_number`, tests every
+    candidate; for cycle-shaped patterns its distance tables are shared
+    between candidate tests.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -1066,22 +1063,62 @@ def hill_climb_free(
         raise ValueError("iterations must be >= 1")
     rng = random.Random(seed)
     check = _EdgeCheck(desc)
-    best: Graph | None = None
+    pairs = list(combinations(range(n), 2))
+    best: ClimbResult | None = None
     tests = 0
     # with one vertex no run tests a pair, so one run settles it
     while best is None or (n > 1 and tests < iterations):
         check.start(Graph(n, frozenset()))
         kept = []
-        candidates = list(combinations(range(n), 2))
+        copies: list = [None] * len(pairs)
+        candidates = list(range(len(pairs)))
         while candidates:
             i = rng.randrange(len(candidates))
             candidates[i], candidates[-1] = candidates[-1], candidates[i]
-            u, v = candidates.pop()
+            r = candidates.pop()
+            u, v = pairs[r]
             tests += 1
-            if not check.creates(u, v):
+            copies[r] = copy = check.copy_through(u, v)
+            if copy is None:
                 check.add(u, v)
                 kept.append((u, v))
         g = Graph(n, frozenset(kept))
-        if best is None or g.m > best.m:
-            best = g
+        if best is None or g.m > best.graph.m:
+            best = ClimbResult(g, copies)
     return best
+
+
+def first_unblocked_pair(
+    G: Graph, desc: PatternDescriptor, copies: Sequence
+) -> tuple[int, int] | None:
+    """The first non-edge (u, v) of G, u < v in lexicographic order, whose
+    `copies` entry (indexed as `ClimbResult.copies`) is not a copy of the
+    pattern in G + (u, v); None when every non-edge has one, so that a
+    pattern-free G is edge-maximal.  Only the copies are checked, with no
+    search: a cycle's copy must be a simple path of G with M-1 edges
+    joining u and v, in either direction; any other pattern's must be a
+    witness of that pattern that `_embedding_error` accepts on G + (u, v).
+    """
+    M = as_cycle_length(desc)
+    edges = G.edges
+    arcs = edges | {(b, a) for a, b in edges}  # each edge both ways
+    for r, (u, v) in enumerate(combinations(G.vertices(), 2)):
+        if (u, v) in edges:
+            continue
+        copy = copies[r]
+        if M is None:
+            e = {u, v}
+            held = isinstance(copy, Witness) and copy.pattern == desc and (
+                _embedding_error(
+                    copy, G.n, lambda p, q: G.has_edge(p, q) or {p, q} == e
+                ) is None
+            )
+        else:
+            held = (
+                copy is not None and len(set(copy)) == len(copy) == M
+                and {copy[0], copy[-1]} == {u, v}
+                and arcs.issuperset(zip(copy, copy[1:]))
+            )
+        if not held:
+            return (u, v)
+    return None

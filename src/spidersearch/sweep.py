@@ -11,11 +11,9 @@ import math
 import time
 from dataclasses import dataclass
 
-# adding_edge_creates is no longer called here; it stays importable from this
-# module because perfbench/spans.py wraps it in this namespace.
 from .oracle import (
-    adding_edge_creates,  # noqa: F401
-    first_addable_edge,
+    adding_edge_creates,
+    first_unblocked_pair,
     hill_climb_free,
     is_pattern_free,
 )
@@ -71,24 +69,34 @@ def _fit_slope(points: list[tuple[float, float]]) -> float | None:
 def run_sweep(config: SweepConfig) -> tuple[list[SweepRow], str]:
     """Run the sweep and render the CSV document (rows plus trailing
     commented summary).  Any row that fails re-verification aborts.
+
+    A row is verified pattern-free by a fresh containment search, and
+    edge-maximal by checking, without a search, the copy that the climb
+    returned for each non-edge.  At the first non-edge whose copy fails,
+    `adding_edge_creates` decides whether the graph is not edge-maximal
+    there or only the copy is wrong.
     """
     desc = config.pattern
     rows: list[SweepRow] = []
     for n in config.ns():
         for seed in range(config.seeds):
             t0 = time.monotonic()
-            g = hill_climb_free(n, desc, config.iterations, seed)
+            climb = hill_climb_free(n, desc, config.iterations, seed)
             wall_ms = int((time.monotonic() - t0) * 1000) if config.timing else 0
+            g = climb.graph
             if not is_pattern_free(g, desc):
                 raise RuntimeError(
                     f"sweep row n={n} seed={seed}: output contains the pattern"
                 )
-            gap = first_addable_edge(g, desc)
+            gap = first_unblocked_pair(g, desc, climb.copies)
             if gap is not None:
-                raise RuntimeError(
-                    f"sweep row n={n} seed={seed}: "
-                    f"not edge-maximal at ({gap[0]},{gap[1]})"
+                u, v = gap
+                fault = (
+                    f"blocking copy at ({u},{v}) failed verification"
+                    if adding_edge_creates(g, u, v, desc)
+                    else f"not edge-maximal at ({u},{v})"
                 )
+                raise RuntimeError(f"sweep row n={n} seed={seed}: {fault}")
             rows.append(SweepRow(n, seed, g.m, True, wall_ms))
 
     ns = config.ns()

@@ -22,6 +22,7 @@ from spidersearch.oracle import (
     _distances_to,
     _requirement_order,
     _walk_paths,
+    adding_edge_creates,
     canonical_form,
     contains,
 )
@@ -393,6 +394,25 @@ def reference_branch_and_bound(
     search(0)
     g = Graph(n, frozenset(best))
     return ExtremalResult(n, desc, g.m, g, exhaustive=True)
+
+
+def first_addable_edge(
+    G: Graph, desc: PatternDescriptor
+) -> tuple[int, int] | None:
+    """The first non-edge (u, v), u < v in lexicographic order, such that
+    G + (u, v) is pattern-free; None when there is none, that is when G is
+    edge-maximal or already contains the pattern.  The reference for
+    `oracle.first_unblocked_pair`, which checks the climb's blocking copies
+    without a search.  One `_EdgeCheck` scans the pairs, so for
+    cycle-shaped patterns one distance table per target vertex serves all
+    pairs.  The scan assumes a pattern-free G, so the one pair it would
+    return is confirmed by `adding_edge_creates`.
+    """
+    check = _EdgeCheck(desc).start(G)
+    for u, v in combinations(G.vertices(), 2):
+        if not G.has_edge(u, v) and not check.creates(u, v):
+            return None if adding_edge_creates(G, u, v, desc) else (u, v)
+    return None
 
 
 def reference_find_cycle(

@@ -473,7 +473,7 @@ class TestOneVertex:
                           "from spidersearch.oracle import hill_climb_free\n"
                           "from spidersearch.patterns import parse_pattern\n"
                           "g = hill_climb_free(1, parse_pattern('kst:2,2'), "
-                          "100, 0)\n"
+                          "100, 0).graph\n"
                           "print(g == Graph(1, frozenset()))", timeout=30)
         assert (proc.returncode, proc.stdout) == (0, "True\n"), proc.stderr
 

@@ -33,7 +33,7 @@ from spidersearch.oracle import (
     contains,
     embedding_error,
     extremal_number,
-    first_addable_edge,
+    first_unblocked_pair,
     hill_climb_free,
     is_pattern_free,
     verify_embedding,
@@ -50,6 +50,7 @@ from spidersearch.patterns import (
 
 from bruteforce import (
     brute_contains,
+    first_addable_edge,
     reference_branch_and_bound,
     reference_extremal,
     reference_find_cycle,
@@ -227,9 +228,9 @@ class TestContains:
         (random_gnm(12, 16, seed=2), "spider:2,2*3", "absent", 0),
         (random_gnm(12, 20, seed=2), "spider:2,2*3", "absent", 278),
         # C8-free, and kst:2,3^2 contains a C8
-        (hill_climb_free(12, parse_pattern("cycle:8"), 100, seed=0),
+        (hill_climb_free(12, parse_pattern("cycle:8"), 100, seed=0).graph,
          "kst:2,3^2", "absent", 0),
-        (hill_climb_free(13, parse_pattern("cycle:8"), 100, seed=0),
+        (hill_climb_free(13, parse_pattern("cycle:8"), 100, seed=0).graph,
          "kst:2,3^2", "absent", 1291),
     ])
     def test_frozen_node_counts(self, host, pattern, status, nodes):
@@ -519,8 +520,8 @@ class TestNodeCount:
         (subdivide(complete_bipartite(2, 3), 2), "kst:2,3^2", "found"),
         # C8-free, so absent (kst:2,3^2 contains C8); edge-maximal, so it
         # passes the size gate and the search runs
-        (hill_climb_free(12, parse_pattern("cycle:8"), 40, 0), "kst:2,3^2",
-         "absent"),
+        (hill_climb_free(12, parse_pattern("cycle:8"), 40, 0).graph,
+         "kst:2,3^2", "absent"),
     )
 
     @pytest.mark.parametrize("g, pattern, status", CASES,
@@ -681,6 +682,19 @@ class TestExtremal:
         desc = parse_pattern(pattern)
         assert extremal_number(n, desc) == reference_extremal(n, desc)
 
+    @pytest.mark.parametrize("pattern", [
+        *PATTERNS, "cycle:8", "kst:2,2^2", "spider:2,2,2", "arbitrary:3:0-1",
+    ])
+    def test_fallback_is_a_lower_bound(self, pattern):
+        # the climb that answers past the limit, with the fallback's own
+        # iterations and seed, never beats the exact value
+        desc = parse_pattern(pattern)
+        for n in range(1, EXHAUSTIVE_N_LIMIT + 1):
+            climbed = hill_climb_free(n, desc, 20 * n * n, 0).graph
+            exact = extremal_number(n, desc)
+            assert exact.exhaustive
+            assert climbed.m <= exact.value, (pattern, n)
+
     SEARCHED = [
         *product(range(1, 7), PATTERNS),
         (7, "cycle:4"), (7, "cycle:5"), (7, "cycle:6"),
@@ -803,18 +817,18 @@ def polarity_graph(q):
 
 class TestHillClimb:
     def test_n7_c8_is_complete(self):
-        g = hill_climb_free(7, parse_pattern("cycle:8"), 50, seed=0)
+        g = hill_climb_free(7, parse_pattern("cycle:8"), 50, seed=0).graph
         assert g.m == 21
 
     def test_n8_c8_range(self):
-        g = hill_climb_free(8, parse_pattern("cycle:8"), 400, seed=1)
+        g = hill_climb_free(8, parse_pattern("cycle:8"), 400, seed=1).graph
         assert 21 <= g.m < 28
         assert is_pattern_free(g, parse_pattern("cycle:8"))
 
     def test_pattern_larger_than_host_gives_complete_graph(self):
         # kst:2,3^2 has 11 vertices, so no containment check on 10 vertices
         # searches: each answers 'absent' from the sizes alone
-        g = hill_climb_free(10, parse_pattern("kst:2,3^2"), 50, seed=0)
+        g = hill_climb_free(10, parse_pattern("kst:2,3^2"), 50, seed=0).graph
         assert g == complete_graph(10)
 
     def test_deterministic(self):
@@ -824,7 +838,7 @@ class TestHillClimb:
 
     def test_edge_maximal(self):
         desc = parse_pattern("cycle:6")
-        g = hill_climb_free(9, desc, 100, seed=2)
+        g = hill_climb_free(9, desc, 100, seed=2).graph
         for u in range(9):
             for v in range(u + 1, 9):
                 if not g.has_edge(u, v):
@@ -836,7 +850,7 @@ class TestHillClimb:
         # the loose vertex out of a 2-vertex host
         desc = parse_pattern("arbitrary:3:0-1")
         H = instantiate(desc)
-        g = hill_climb_free(n, desc, 50, seed=0)
+        g = hill_climb_free(n, desc, 50, seed=0).graph
         assert not brute_contains(g, H)
         for u, v in combinations(range(n), 2):
             if not g.has_edge(u, v):
@@ -860,7 +874,7 @@ class TestHillClimb:
 
     @pytest.mark.parametrize("pattern,n,seed,iters,m,digest", FROZEN)
     def test_frozen_edge_sets(self, pattern, n, seed, iters, m, digest):
-        g = hill_climb_free(n, parse_pattern(pattern), iters, seed)
+        g = hill_climb_free(n, parse_pattern(pattern), iters, seed).graph
         assert g.m == m
         assert hashlib.sha256(g.dump().encode()).hexdigest() == digest
 
@@ -871,20 +885,15 @@ def creates_by_containment(g, u, v, desc):
     return contains(Graph(g.n, g.edges | {(u, v)}), desc).status == "found"
 
 
-def copy_witness(desc, paths):
+def copy_witness(desc, copy):
     """The witness of a copy that `_EdgeCheck.copy_through` returned: a
     cycle's path, closed by the queried edge, laid along `cycle_order`;
-    otherwise each terminal read off the ends of the requirement paths,
-    which needs a pattern without isolated terminals."""
+    otherwise the copy is the witness."""
+    if as_cycle_length(desc) is None:
+        return copy
     tmpl = compile_template(desc)
-    if as_cycle_length(desc) is not None:
-        (path,) = paths
-        img = dict(zip(cycle_order(instantiate(desc)), path))
-        paths = [tuple(img[x] for x in c) for c in requirement_chains(tmpl)]
-    else:
-        img = {}
-        for (a, b, _), p in zip(tmpl.requirements, paths):
-            img[a], img[b] = p[0], p[-1]
+    img = dict(zip(cycle_order(instantiate(desc)), copy))
+    paths = [tuple(img[x] for x in c) for c in requirement_chains(tmpl)]
     return _witness(desc, tmpl, img, paths)
 
 
@@ -919,10 +928,10 @@ class TestEdgeCheck:
                 u, v = e if rng.random() < 0.5 else e[::-1]
                 assert check.creates(u, v) is want, (pattern, seed, g, e)
                 assert adding_edge_creates(g, u, v, desc) == want
-                paths = check.copy_through(u, v)
-                assert (paths is not None) == want
-                if paths is not None:
-                    w = copy_witness(desc, paths)
+                copy = check.copy_through(u, v)
+                assert (copy is not None) == want
+                if copy is not None:
+                    w = copy_witness(desc, copy)
                     assert verify_embedding(Graph(n, g.edges | {e}), w)
                     assert any({a, b} == {u, v}
                                for p in w.paths for a, b in zip(p, p[1:]))
@@ -1073,13 +1082,42 @@ class TestFirstAddableEdge:
         self, pattern, n, seed
     ):
         desc = parse_pattern(pattern)
-        g = hill_climb_free(n, desc, 200, seed)
+        g = hill_climb_free(n, desc, 200, seed).graph
         assert first_addable_edge(g, desc) is None
         for e in g.sorted_edges()[::3]:
             h = Graph(g.n, g.edges - {e})
             got = first_addable_edge(h, desc)
             assert got is not None and got <= e
             assert got == first_addable_per_pair(h, desc)
+
+
+class TestFirstUnblockedPair:
+    """The sweep's edge-maximality check: the climb's blocking copies
+    checked without a search, against the search it replaced."""
+
+    @pytest.mark.parametrize("pattern,n,seed", [
+        ("cycle:4", 14, 3), ("cycle:5", 12, 1), ("kst:2,2^2", 18, 4),
+        ("kst:2,3", 10, 2), ("spider:1,2,2", 10, 0),
+        ("arbitrary:3:0-1", 4, 0),  # a pattern vertex on no path
+        ("kst:2,2^2", 1, 0), ("kst:2,3", 1, 0),  # no pair, no copy
+    ])
+    def test_agrees_with_first_addable_edge(self, pattern, n, seed):
+        # every copy the climb returns holds, so both find nothing on the
+        # climbed graph.  With an edge deleted, a pair before the first
+        # one whose copy fails keeps its copy, so it is still blocked
+        desc = parse_pattern(pattern)
+        climb = hill_climb_free(n, desc, 200, seed)
+        g = climb.graph
+        assert len(climb.copies) == n * (n - 1) // 2
+        assert [c is None for c in climb.copies] == \
+            [g.has_edge(u, v) for u, v in combinations(range(n), 2)]
+        assert first_unblocked_pair(g, desc, climb.copies) is None
+        assert first_addable_edge(g, desc) is None
+        for e in g.sorted_edges()[::3]:
+            h = Graph(n, g.edges - {e})
+            got = first_unblocked_pair(h, desc, climb.copies)
+            want = first_addable_edge(h, desc)
+            assert got is not None and got <= e and got <= want, (pattern, e)
 
 
 class TestBudgetValidation:
