@@ -554,7 +554,13 @@ def _template_search(
     requirement, which moves every middle along the path at once; a vertex
     that a new terminal or a longer path takes from it sends its
     requirement down another one.  When either finds none, no embedding
-    extends the branch.
+    extends the branch.  A requirement's middles are read from `middles`,
+    its ends' common neighbours in `adj` order, memoised by the pair of
+    end images.  The memo holds for this call only: `adj` is fixed while
+    the search runs but changes between searches (`_EdgeCheck.add` and
+    `remove`), so it is dropped on return and needs no trail entries.
+    A length-2 requirement whose ends are both placed before its turn is
+    routed by `augment` alone.
     A new `b` needs a neighbour of `a`'s image that no terminal image or
     longer path uses.  The leaf reads the paths of length 1 and 2 off the
     terminal images and the inverted matching.
@@ -608,23 +614,53 @@ def _template_search(
             else:
                 d[k] = old
 
+    common: dict[tuple[int, int], tuple[int, ...]] = {}
+
+    def middles(r: int) -> tuple[int, ...]:
+        """The common neighbours of length-2 requirement r's end images,
+        in `adj[img[a]]` order, used or not; memoised for this call."""
+        a, b, _ = reqs[r]
+        key = (img[a], img[b])
+        ms = common.get(key)
+        if ms is None:
+            near = adj[key[1]]
+            ms = common[key] = tuple(m for m in adj[key[0]] if m in near)
+        return ms
+
     def augment(r: int) -> bool:
         """Match the unmatched requirement r along an augmenting path
         (Kuhn), depth first on an explicit stack; False if there is none.
-        A requirement takes a free middle when it has one and otherwise
-        tries to move the holders of its middles, in the order `adj` lists
-        them.
+        A requirement takes its first free middle when it has one and
+        otherwise tries to move the holders of its middles, in `middles`
+        order.  A free middle is taken without building the stack or the
+        seen set, and when every middle of r is in use there is no path.
         """
+        ms = middles(r)
+        any_held = False
+        for m in ms:
+            if m not in used:
+                if owner.get(m) is None:
+                    put(owner, m, r)
+                    return True
+                any_held = True
+        if not any_held:
+            return False
         seen: set[int] = set()
         # [requirement, its middles not yet tried, the one it moves to]
-        stack: list[list] = []
-        q = r
-        while True:
-            a, b, _ = reqs[q]
-            near = adj[img[b]]
+        stack = [[r, (m for m in ms if m not in used), None]]
+        while stack:
+            for m in stack[-1][1]:
+                if m not in seen:
+                    break
+            else:
+                stack.pop()
+                continue
+            seen.add(m)
+            stack[-1][2] = m
+            q = owner[m]
             held = []
-            for m in adj[img[a]]:
-                if m in near and m not in used:
+            for m in middles(q):
+                if m not in used:
                     if owner.get(m) is None:  # move the path's middles
                         put(owner, m, q)
                         for q, _, m in reversed(stack):
@@ -632,16 +668,7 @@ def _template_search(
                         return True
                     held.append(m)
             stack.append([q, iter(held), None])
-            while stack:
-                m = next((m for m in stack[-1][1] if m not in seen), None)
-                if m is not None:
-                    seen.add(m)
-                    stack[-1][2] = m
-                    q = owner[m]
-                    break
-                stack.pop()
-            else:
-                return False
+        return False
 
     def take(x: int) -> bool:
         """Put x in use, re-matching the requirement whose middle it was."""
@@ -669,6 +696,12 @@ def _template_search(
         ridx = order[pos]
         a, b, length = reqs[ridx]
         new_a, new_b = a not in img, b not in img
+        if length == 2 and not (new_a or new_b):  # `augment` decides
+            mark = len(trail)
+            if augment(ridx):
+                yield True
+                undo(mark)
+            return
         if length > 2:
             forb = used.keys() - {img.get(a), img.get(b)}
             tables: dict[int, list[int]] = {}

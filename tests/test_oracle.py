@@ -215,6 +215,14 @@ class TestContains:
             ((2, 11, 0), (2, 5, 10), (4, 8, 0), (4, 3, 10), (6, 1, 0),
              (6, 9, 10)),
         ),
+        # middles 2 and 10 of this witness were moved there by augmenting
+        # paths of more than one step, and trying held middles in another
+        # order, at the first step or a later one, changes it
+        ("kst:3,3^2", 331): (
+            (1, 5, 6, 0, 3, 9),
+            ((0, 4, 1), (0, 10, 5), (0, 15, 6), (3, 7, 1), (3, 14, 5),
+             (3, 11, 6), (9, 13, 1), (9, 2, 5), (9, 12, 6)),
+        ),
     }
 
     @pytest.mark.parametrize("host,pattern,status,nodes", [
@@ -224,6 +232,7 @@ class TestContains:
         (random_gnm(18, 30, seed=4), "cycle:12", "found", 115),
         (subdivide(complete_bipartite(2, 3), 2), "kst:2,3^2", "found", 7),
         (random_gnm(12, 20, seed=5), "kst:2,3^2", "found", 160),
+        (random_gnm(16, 44, seed=5), "kst:3,3^2", "found", 331),
         # too few vertices of degree 2 or more: the size gate answers
         (random_gnm(12, 16, seed=2), "spider:2,2*3", "absent", 0),
         (random_gnm(12, 20, seed=2), "spider:2,2*3", "absent", 278),
@@ -878,6 +887,31 @@ class TestHillClimb:
         assert g.m == m
         assert hashlib.sha256(g.dump().encode()).hexdigest() == digest
 
+    # (pattern, n, seed, iterations, edges, SHA-256 of Graph.dump(),
+    # SHA-256 of the copies' terminals and paths): patterns with length-2
+    # paths, whose copies carry the middles the matching chose on the edge
+    # check's insertion-ordered adjacency
+    FROZEN_CERTIFICATES = [
+        ("kst:2,3^2", 16, 0, 300, 40,
+         "83f0d2671b3483d067a8c933706475bc820454ec18b2c8cd71ee03dec8cc2845",
+         "4f4836350e3a52dd8b2ad998c57f33c7fa46a9c2225aee3c94e65f137f478dc7"),
+        ("spider:2,2,2", 12, 0, 300, 20,
+         "527657b093fd11c2ce399156971d40716ca91efbf91376c55a49d46abeaa8a80",
+         "137b729bf4c1fdc3f2a276a5622e89628fd698aa0eb330f073ad65952332269b"),
+    ]
+
+    @pytest.mark.parametrize(
+        "pattern,n,seed,iters,m,digest,copies", FROZEN_CERTIFICATES
+    )
+    def test_frozen_certificates(self, pattern, n, seed, iters, m, digest,
+                                 copies):
+        res = hill_climb_free(n, parse_pattern(pattern), iters, seed)
+        assert res.graph.m == m
+        assert hashlib.sha256(res.graph.dump().encode()).hexdigest() == digest
+        kept = [None if c is None else (c.terminals, c.paths)
+                for c in res.copies]
+        assert hashlib.sha256(repr(kept).encode()).hexdigest() == copies
+
 
 def creates_by_containment(g, u, v, desc):
     """Whether g + (u, v) contains the pattern, by a fresh `contains`: no
@@ -907,9 +941,12 @@ def first_addable_per_pair(g, desc):
 
 
 class TestEdgeCheck:
-    @pytest.mark.parametrize(
-        "pattern", ["cycle:4", "cycle:6", "kst:2,2^2", "kst:2,3"]
-    )
+    # spider:2,2,2 and kst:2,3^2 have length-2 paths, so their answers
+    # also run the matching on an adjacency that changes between searches
+    @pytest.mark.parametrize("pattern", [
+        "cycle:4", "cycle:6", "kst:2,2^2", "kst:2,3", "spider:2,2,2",
+        "kst:2,3^2",
+    ])
     def test_answers_track_added_edges(self, pattern):
         # one check follows each graph as it grows, as in hill climbing, so
         # a distance table that an added edge shortened must be dropped;
@@ -998,9 +1035,12 @@ class TestEdgeCheck:
         assert _twin_classes(tmpl) == classes
         assert [anchor[1:] for anchor in _anchors(tmpl)] == anchors
 
-    @pytest.mark.parametrize(
-        "pattern", ["cycle:4", "cycle:6", "kst:2,2^2", "kst:2,3"]
-    )
+    # spider:2,2,2 and kst:2,3^2 have length-2 paths, so their answers
+    # also run the matching on an adjacency that changes between searches
+    @pytest.mark.parametrize("pattern", [
+        "cycle:4", "cycle:6", "kst:2,2^2", "kst:2,3", "spider:2,2,2",
+        "kst:2,3^2",
+    ])
     def test_answers_track_removed_edges(self, pattern):
         # a seeded walk of additions and removals, as in the exhaustive
         # extremal search; every answer is judged afresh, and every distance
