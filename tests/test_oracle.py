@@ -941,12 +941,13 @@ def first_addable_per_pair(g, desc):
 
 
 class TestEdgeCheck:
+    # the patterns whose answers the check must track as the graph changes;
     # spider:2,2,2 and kst:2,3^2 have length-2 paths, so their answers
     # also run the matching on an adjacency that changes between searches
-    @pytest.mark.parametrize("pattern", [
-        "cycle:4", "cycle:6", "kst:2,2^2", "kst:2,3", "spider:2,2,2",
-        "kst:2,3^2",
-    ])
+    TRACKED = ["cycle:4", "cycle:6", "kst:2,2^2", "kst:2,3", "spider:2,2,2",
+               "kst:2,3^2"]
+
+    @pytest.mark.parametrize("pattern", TRACKED)
     def test_answers_track_added_edges(self, pattern):
         # one check follows each graph as it grows, as in hill climbing, so
         # a distance table that an added edge shortened must be dropped;
@@ -1035,12 +1036,7 @@ class TestEdgeCheck:
         assert _twin_classes(tmpl) == classes
         assert [anchor[1:] for anchor in _anchors(tmpl)] == anchors
 
-    # spider:2,2,2 and kst:2,3^2 have length-2 paths, so their answers
-    # also run the matching on an adjacency that changes between searches
-    @pytest.mark.parametrize("pattern", [
-        "cycle:4", "cycle:6", "kst:2,2^2", "kst:2,3", "spider:2,2,2",
-        "kst:2,3^2",
-    ])
+    @pytest.mark.parametrize("pattern", TRACKED)
     def test_answers_track_removed_edges(self, pattern):
         # a seeded walk of additions and removals, as in the exhaustive
         # extremal search; every answer is judged afresh, and every distance
