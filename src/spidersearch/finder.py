@@ -1,9 +1,11 @@
 """Constructive pipeline: refine an over-represented spider family to its
 largest subfamily satisfying conditions (i) and (ii), chain spiders into
-long legs, connect them into spiders with prescribed leg lengths, and
-assemble rooted blowups (K_{s,t} subdivisions as the special case of equal
-legs).  Spiders are flat tuples throughout (`spiders.spider_layout`): the
-chain compares truncation keys and reads leaf vectors with its getters.
+long legs (S_j extends, T_j relocates), connect them into spiders with
+prescribed leg lengths, and assemble rooted blowups (K_{s,t} subdivisions
+as the special case of equal legs).  One `verify_embedding` checks the
+assembled witness; the chain's selection rules guarantee the rest.
+Spiders are flat tuples throughout (`spiders.spider_layout`): the chain
+compares truncation keys and reads leaf vectors with its getters.
 
 Desk-scale hosts frequently cannot complete a chain; every step reports
 failure honestly instead of forcing a result.
@@ -167,13 +169,18 @@ def build_paths(
     """Grow paths from the leaves of r0 by alternately extending (S_j picks
     a family member containing the current stub) and relocating (T_j picks
     a disjoint member with the same leaf vector, then truncates).  Path i
-    runs from leaf i of r0 to leaf i of the last column.
+    runs from leaf i of r0 to leaf i of the last column, with
+    targets[i] - lv[i] edges.
 
-    Equal targets need no chain.
+    The family's members are spiders of one host.  S_j's new vertices
+    avoid Z, `used` and the stub, and T_j's non-leaf vertices avoid Z and
+    `used` (which holds S_j), so every appended vertex is new: the paths
+    are simple, pairwise disjoint and off Z, and `assemble_blowup`'s
+    `verify_embedding` is the one check of the result.  Equal targets
+    need no chain.
     """
     lv = fam.lv
-    s = len(lv)
-    if len(targets) != s:
+    if len(targets) != len(lv):
         raise ValueError("targets must match the family's leg count")
     if any(t < l for t, l in zip(targets, lv)):
         raise ValueError("targets must dominate the length vector")
@@ -199,14 +206,11 @@ def build_paths(
     J = len(cols) if any(map(any, cols)) else 0
 
     def add_column(col: tuple[int, ...]) -> None:
-        if len(set(col)) != s:
-            raise RuntimeError(f"grid column collision at {col}")
         for p, v in zip(paths, col):
             if p[-1] != v:
                 p.append(v)
 
     paths = [[v] for v in start]
-    add_column(start)  # checks the first column; the paths already end there
     r_prev = r0
     used: set[int] = set()
 
@@ -246,21 +250,6 @@ def build_paths(
             used |= set(t_j)
             r_prev = layout.truncation(cols[j])(t_j)
             add_column(_truncated_leaf(lv, cols[j])(r_prev))
-
-    for i, seq in enumerate(paths):
-        want_len = targets[i] - lv[i]
-        if len(seq) - 1 != want_len or len(set(seq)) != len(seq):
-            raise ConstructionFailure(
-                f"P_{i}", "chained vertices do not form a simple path"
-            )
-        if set(seq) & zset:
-            raise ConstructionFailure(f"P_{i}", "path touches Z")
-    for i in range(s):
-        for j in range(i + 1, s):
-            if set(paths[i]) & set(paths[j]):
-                raise ConstructionFailure(
-                    "paths", f"paths {i} and {j} intersect"
-                )
 
     return tuple(map(tuple, paths))
 
@@ -317,8 +306,6 @@ def assemble_blowup(
         except ConstructionFailure as e:
             e.rounds_completed = rnd
             raise
-        if full.leaf(sp) != roots:
-            raise RuntimeError(f"round {rnd} spider misses the roots {roots}")
         legs_done.append(sp)
         Z |= set(sp) - set(roots)
 

@@ -36,13 +36,12 @@ class Graph:
     def __post_init__(self) -> None:
         if self.n < 0:
             raise ValueError("n must be nonnegative")
+        adj: list[list[int]] = [[] for _ in range(self.n)]
         for u, v in self.edges:
             if u == v:
                 raise ValueError(f"loop at vertex {u}")
             if not (0 <= u < v < self.n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={self.n}")
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
             adj[u].append(v)
             adj[v].append(u)
         object.__setattr__(

@@ -599,28 +599,37 @@ sys.exit(main(sys.argv[1:]))
 """
 _REJECT_ALL_WITNESSES = (
     "oracle.verify_embedding = finder.verify_embedding = lambda G, w: False")
-_REFINED_FAMILY_CHECK = "refined family fails its re-check: (i) violated"
-
-
-@pytest.mark.parametrize("argv,message", [
+# the chain's spider gets a path vertex (here a root) for its centre
+_CONNECT_REUSES_PATH_VERTEX = """
+connect = finder.connect_paths
+finder.connect_paths = lambda fam, paths, Z: (
+    (paths[0][0],) + connect(fam, paths, Z)[1:])
+"""
+_FIND_22 = ["find", "--pattern", "kst:2,2^2", "--threshold", "const:1",
+            "--L", "4"]
+_SABOTAGE_CASES = [
     (["oracle", "contains", "--pattern", "cycle:8"],
-     "cycle witness failed verification"),
+     "cycle witness failed verification", _REJECT_ALL_WITNESSES),
     (["oracle", "contains", "--pattern", "kst:2,3^2"],
-     "search witness failed verification"),
-    (["find", "--pattern", "kst:2,2^2", "--threshold", "const:1", "--L", "4"],
-     "assembled witness failed verification"),
-    (["find", "--pattern", "kst:2,2^2", "--threshold", "const:1", "--L", "4"],
-     _REFINED_FAMILY_CHECK),
-])
-def test_witness_check_survives_optimize(tmp_path, argv, message):
-    """Under `python -O` a witness that fails re-verification, or a refined
-    family that fails its condition re-check, still ends the command with
-    an error, not with unverified output."""
-    if message == _REFINED_FAMILY_CHECK:
-        sabotage = ("finder.family_condition_violations = "
-                    "lambda fam: ['(i) violated', '(ii) violated']")
-    else:
-        sabotage = _REJECT_ALL_WITNESSES
+     "search witness failed verification", _REJECT_ALL_WITNESSES),
+    (_FIND_22, "assembled witness failed verification", _REJECT_ALL_WITNESSES),
+    (_FIND_22, "refined family fails its re-check: (i) violated",
+     "finder.family_condition_violations = "
+     "lambda fam: ['(i) violated', '(ii) violated']"),
+    (_FIND_22, "assembled witness failed verification",
+     _CONNECT_REUSES_PATH_VERTEX),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,message,sabotage", _SABOTAGE_CASES,
+    ids=[f"argv{i}-{message}" for i, (_, message, _) in
+         enumerate(_SABOTAGE_CASES)])
+def test_witness_check_survives_optimize(tmp_path, argv, message, sabotage):
+    """Under `python -O` a witness that fails re-verification, a refined
+    family that fails its condition re-check, or a chain that reuses a
+    vertex still ends the command with an error, not with unverified
+    output."""
     host = write_graph(tmp_path, subdivide(complete_bipartite(2, 4), 2))
     proc = run_python("-O", "-c", _SABOTAGED_MAIN.format(sabotage=sabotage),
                       *argv, "--graph", host)

@@ -277,6 +277,49 @@ class TestBuildPaths:
         for p in res:
             assert not set(p) & z
 
+    @pytest.mark.parametrize("k, chains", [(2, (187, 167)),
+                                           (3, (280, 236))])
+    def test_chain_invariants_on_criterion5_hosts(self, monkeypatch, k,
+                                                  chains):
+        """Every chain that find_kstk builds for kst:2,2^k on criterion 5's
+        hosts: path i has targets[i] - lv[i] edges of the host, the paths
+        are simple, disjoint and off Z, they start at r0's leaves, and
+        connect_paths' spider ends at those leaves.  The counts of built
+        and connected chains are pinned, so a selection rule that stops
+        every chain fails too."""
+        built = []
+        connected = []
+
+        # g is the host of the find_kstk call in progress (loop below)
+        def checked_build(fam, r0, Z, targets):
+            paths = build_paths(fam, r0, Z, targets)
+            want = tuple(l - g for l, g in
+                         zip(fam.lv, _gamma_schedule(fam.lv, targets)[0]))
+            assert tuple(p[0] for p in paths) == spider_layout(want).leaf(r0)
+            seen = set()
+            for p, t, l in zip(paths, targets, fam.lv):
+                assert len(p) - 1 == t - l
+                assert len(set(p)) == len(p)
+                assert all(g.has_edge(u, v) for u, v in zip(p, p[1:]))
+                assert not set(p) & set(Z)
+                assert not set(p) & seen
+                seen |= set(p)
+            built.append(paths)
+            return paths
+
+        def checked_connect(fam, paths, Z):
+            sp = connect_paths(fam, paths, Z)
+            targets = tuple(len(p) - 1 + l for p, l in zip(paths, fam.lv))
+            assert spider_layout(targets).leaf(sp) == tuple(p[0] for p in paths)
+            connected.append(sp)
+            return sp
+
+        monkeypatch.setattr(finder, "build_paths", checked_build)
+        monkeypatch.setattr(finder, "connect_paths", checked_connect)
+        for g, thr, L in criterion5_hosts():
+            find_kstk(g, 2, 2, k, thr, L, SearchBudget(node_limit=1))
+        assert (len(built), len(connected)) == chains
+
 
 class TestConnect:
     def test_closes_into_spider(self):
