@@ -162,23 +162,39 @@ def _distances_to(
     """BFS distances to `v` avoiding `forbidden` vertices, indexed by
     vertex, with `length + 1` for every vertex farther than `length`: the
     admissible pruning bound of the exact-path search.  A table stays valid
-    for every source while `adj` is unchanged.
+    for every source while `adj` is unchanged; `_EdgeCheck.add` repairs
+    its tables in place when an edge is added.
     """
     far = length + 1
     dist = [far] * len(adj)
     dist[v] = 0
-    frontier = [v]
-    for d in range(1, far):
+    _lower(adj, dist, [v], 1, far, forbidden)
+    return dist
+
+
+def _lower(
+    adj: Sequence[Collection[int]],
+    dist: list[int],
+    frontier: list[int],
+    d: int,
+    far: int,
+    forbidden: Collection[int],
+) -> None:
+    """Lower `dist` level by level outward from `frontier`, whose vertices
+    lie at level d - 1: each of their neighbours outside `forbidden` that
+    lies above level d drops to d and joins the next frontier, up to level
+    far - 1.  A level that lowers nothing ends the loop.
+    """
+    for d in range(d, far):
         nxt = []
         for x in frontier:
             for y in adj[x]:
-                if dist[y] == far and y not in forbidden:
+                if dist[y] > d and y not in forbidden:
                     dist[y] = d
                     nxt.append(y)
-        frontier = nxt
-        if not frontier:
+        if not nxt:
             break
-    return dist
+        frontier = nxt
 
 
 def _walk_paths(
@@ -187,19 +203,20 @@ def _walk_paths(
     v: int,
     length: int,
     dist: list[int],
-    budget: SearchBudget,
+    budget: SearchBudget | None,
 ):
     """Generator over the simple u-v paths with exactly `length` edges, in
     depth-first order: each vertex's neighbours in the order `adj` lists
     them.  `dist` is `_distances_to(adj, v, length, forbidden)`; it puts
     every forbidden vertex out of range, so no path passes through one.
     Iterative, so the path length is not bounded by the recursion limit;
-    one tick of `budget` per node of the search tree (the edge check
-    passes its own unlimited budget, `contains` the caller's).
+    one tick of `budget` per node of the search tree when one is given
+    (`contains` always gives one, the edge check none).
     """
     if dist[u] > length:
         return
-    budget.tick()
+    if budget is not None:
+        budget.tick()
     path = [u]
     on_path = {u}
     stack = [iter(adj[u])]
@@ -213,7 +230,8 @@ def _walk_paths(
                     continue
             elif dist[y] > rem:
                 continue
-            budget.tick()
+            if budget is not None:
+                budget.tick()
             if not rem:
                 yield (*path, v)
                 continue
@@ -234,8 +252,9 @@ class _EdgeCheck:
 
     A cycle of length M appears iff `path` finds an (M-1)-edge u-v path;
     `contains` finds cycles by the same walk.  Its BFS distance tables, one
-    per target vertex, are shared between queries and dropped when an
-    added or removed edge changes them.
+    per target vertex, are shared between queries.  An added edge only
+    lowers distances, so `add` repairs every table in place; `remove`
+    drops a table that the removed edge may lengthen.
 
     For other patterns every new copy uses the edge (u, v), so the check
     maps (u, v) onto one pattern edge per anchor (see `_anchors`), in both
@@ -249,8 +268,8 @@ class _EdgeCheck:
     what `hill_climb_free` hands back as the certificate of a rejected
     pair.
 
-    Both searches tick the check's own unlimited `SearchBudget`, made anew
-    by `start`: a creation test always runs to its answer.
+    Both searches run without a `SearchBudget`: a creation test always
+    runs to its answer, and counts no nodes.
     """
 
     def __init__(self, desc: PatternDescriptor) -> None:
@@ -264,7 +283,6 @@ class _EdgeCheck:
         """Follow G from here on, forgetting any earlier graph."""
         self.adj = _adjacency(G)
         self.tables: dict[int, list[int]] = {}
-        self.budget = SearchBudget()
         return self
 
     def creates(self, u: int, v: int) -> bool:
@@ -280,22 +298,22 @@ class _EdgeCheck:
             # search towards an endpoint that already has a table
             if u in self.tables and v not in self.tables:
                 u, v = v, u
-            return self.path(u, v, self.budget)
+            return self.path(u, v, None)
         # the pins are in use, so no other path of the copy can take the
         # edge (u, v): the rest of the copy is searched in the graph itself
         for anchor in self.anchors:
             anchored, _, x, y = anchor
             for pins in ({x: u, y: v}, {x: v, y: u}):
-                sol = _template_search(self.adj, anchored, self.budget, pins)
+                sol = _template_search(self.adj, anchored, None, pins)
                 if sol is not None:
                     return self._verify(u, v, anchor, *sol)
         return None
 
     def path(
-        self, u: int, v: int, budget: SearchBudget
+        self, u: int, v: int, budget: SearchBudget | None
     ) -> tuple[int, ...] | None:
         """The first u-v path with M-1 edges in `_walk_paths` order, or
-        None, pruned by the distance table to v."""
+        None, pruned by the distance table to v; ticks `budget` if given."""
         adj, tables, length = self.adj, self.tables, self.M - 1
         if v not in tables:
             tables[v] = _distances_to(adj, v, length, _NO_VERTICES)
@@ -322,12 +340,18 @@ class _EdgeCheck:
         return w
 
     def add(self, u: int, v: int) -> None:
-        self.adj[u][v] = self.adj[v][u] = None
-        # the edge shortens no distance in a table where its ends lie at
-        # most one level apart (M standing for "out of range")
-        self.tables = {
-            t: d for t, d in self.tables.items() if abs(d[u] - d[v]) <= 1
-        }
+        adj = self.adj
+        adj[u][v] = adj[v][u] = None
+        # the edge can only bring the far end to one level past the near
+        # end, and from there its neighbours (M standing for "out of
+        # range", so no entry drops to M); where the ends lie at most one
+        # level apart it shortens nothing
+        for dist in self.tables.values():
+            near, far_end = (u, v) if dist[u] < dist[v] else (v, u)
+            d = dist[near] + 1
+            if d < dist[far_end]:
+                dist[far_end] = d
+                _lower(adj, dist, [far_end], d + 1, self.M, _NO_VERTICES)
 
     def remove(self, u: int, v: int) -> None:
         del self.adj[u][v], self.adj[v][u]
@@ -514,7 +538,7 @@ def _search_plan(tmpl: Template, pinned: frozenset[int]) -> tuple[
 def _template_search(
     adj: Sequence[Collection[int]],
     tmpl: Template,
-    budget: SearchBudget,
+    budget: SearchBudget | None,
     pins: dict[int, int] | None = None,
 ) -> tuple[dict[int, int], dict[int, tuple[int, ...]]] | None:
     """The first embedding of the template in the host with adjacency
@@ -527,7 +551,7 @@ def _template_search(
     of its own whose degree reaches the smallest pattern degree among them,
     and each pin's degree must reach its terminal's.  A template that fails
     this, or has more edges than the host, is absent before the first
-    budget tick.  With pins, the host and the template miss one edge of
+    node.  With pins, the host and the template miss one edge of
     the pattern at the pins (see `_EdgeCheck`), so the gate reads the
     degrees of the host plus that edge.
 
@@ -574,11 +598,12 @@ def _template_search(
     per routed requirement (`branches`), so the requirement count is not
     bounded by the recursion limit; every change to the images, the used
     vertices, the longer paths and the matching is undone from one trail.
-    One tick of `budget` per search node and per `_walk_paths` node (the
-    edge check ticks its own unlimited budget); terminals that no
-    requirement touches take the smallest unused vertices last; their
-    pattern degree is 0, so the size gate has counted a host vertex for
-    each.
+    One tick of `budget`, when one is given, per search node and per
+    `_walk_paths` node (`contains` always gives one; the edge check gives
+    none, so its searches count nothing and run to their answer).
+    Terminals that no requirement touches take the smallest unused
+    vertices last; their pattern degree is 0, so the size gate has counted
+    a host vertex for each.
     """
     reqs = tmpl.requirements
     pins = pins or {}
@@ -756,7 +781,8 @@ def _template_search(
                 undo(at_a)
             undo(start)
 
-    budget.tick()
+    if budget is not None:
+        budget.tick()
     stack = []  # one branch generator per routed requirement
     while len(stack) < len(order):
         stack.append(branches(len(stack)))
@@ -764,7 +790,8 @@ def _template_search(
             stack.pop()
             if not stack:
                 return None
-        budget.tick()
+        if budget is not None:
+            budget.tick()
     middle = {r: m for m, r in owner.items() if r is not None}
     for r, (a, b, length) in enumerate(reqs):  # every routed one holds
         if length == 1:
@@ -799,8 +826,9 @@ def contains(
     Either route's embedding is verified.
 
     `nodes` is the search's node count on every outcome, with or without a
-    `budget`; without one the search is unlimited (the edge check ticks
-    its own unlimited budget the same way).
+    `budget`: without one the search ticks a fresh unlimited budget, so
+    it is counted the same way.  (The edge check's searches, which give
+    `_walk_paths` and `_template_search` no budget, count nothing.)
     """
     budget = (budget or SearchBudget()).start()
     tmpl = compile_template(desc)
@@ -1088,7 +1116,8 @@ def hill_climb_free(
 
     One `_EdgeCheck`, the check behind `extremal_number`, tests every
     candidate; for cycle-shaped patterns its distance tables are shared
-    between candidate tests.
+    between candidate tests and repaired in place when a candidate is
+    kept.
     """
     if n < 1:
         raise ValueError("n must be >= 1")

@@ -951,7 +951,7 @@ class TestEdgeCheck:
     @pytest.mark.parametrize("pattern", TRACKED)
     def test_answers_track_added_edges(self, pattern):
         # one check follows each graph as it grows, as in hill climbing, so
-        # a distance table that an added edge shortened must be dropped;
+        # a distance table that an added edge shortened must be repaired;
         # the references build everything afresh for every pair.  A copy
         # the check returns must be a copy in g + e that uses e
         desc = parse_pattern(pattern)
@@ -1036,6 +1036,38 @@ class TestEdgeCheck:
         tmpl = compile_template(parse_pattern(pattern))
         assert _twin_classes(tmpl) == classes
         assert [anchor[1:] for anchor in _anchors(tmpl)] == anchors
+
+    @pytest.mark.parametrize("pattern", ["cycle:6", "cycle:8", "kst:2,2^2"])
+    def test_added_edges_repair_every_table(self, pattern):
+        # seeded hosts grown as in hill climbing, large enough for an added
+        # edge to shorten distances several levels deep: after every add,
+        # the check still holds every table it had, each equal to a fresh
+        # one, and somewhere a repair reached two or more levels past the
+        # far end of the added edge
+        desc = parse_pattern(pattern)
+        deep = 0
+        for seed in range(3):
+            rng = random.Random(seed)
+            n = rng.randint(30, 60)
+            check = _EdgeCheck(desc).start(Graph(n, frozenset()))
+            pairs = list(combinations(range(n), 2))
+            rng.shuffle(pairs)
+            for u, v in pairs:
+                if rng.random() < 0.5:
+                    u, v = v, u
+                if check.creates(u, v):
+                    continue
+                before = {t: list(d) for t, d in check.tables.items()}
+                check.add(u, v)
+                assert check.tables.keys() == before.keys()
+                for t, dist in check.tables.items():
+                    fresh = _distances_to(check.adj, t, check.M - 1, set())
+                    assert dist == fresh, (pattern, seed, t, (u, v))
+                    old = before[t]
+                    far = u if old[u] > old[v] else v
+                    deep += any(d < o and d >= dist[far] + 2
+                                for d, o in zip(dist, old))
+        assert deep > 0
 
     @pytest.mark.parametrize("pattern", TRACKED)
     def test_answers_track_removed_edges(self, pattern):

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 from itertools import combinations
 
 import pytest
@@ -53,6 +54,18 @@ class TestRunSweep:
         assert [ln.split(",")[:2] for ln in lines[1:7]] == [
             [str(n), str(s)] for n in (5, 7, 9) for s in (0, 1)
         ]
+
+    def test_benchmark_inputs_csv_is_pinned(self):
+        # the sweep the benchmark splits into one operation per n, run as
+        # one CSV: kst:2,2^2 (the 8-cycle) for n = 16..96 step 16, 3 seeds,
+        # 2000 iterations.  The edge check's table handling must change no
+        # accepted edge, so no byte of the CSV
+        cfg = SweepConfig(parse_pattern("kst:2,2^2"), 16, 96, n_step=16,
+                          seeds=3, iterations=2000)
+        _, csv = run_sweep(cfg)
+        assert hashlib.sha256(csv.encode()).hexdigest() == (
+            "2cfaaf99ed743bd0adb26807c5e2a21c3517eaae3c87297c9dab2b8d44ed1192"
+        )
 
     def test_kst_theory_line(self):
         cfg = SweepConfig(parse_pattern("kst:2,2^2"), 6, 10, n_step=2,
