@@ -98,11 +98,13 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--length", type=int)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out")
+    g.set_defaults(run=_cmd_gen)
 
     r = sub.add_parser("regularize", help="extract a dense almost-regular subgraph")
     r.add_argument("--graph", required=True)
     r.add_argument("--epsilon", type=float, required=True)
     r.add_argument("--out")
+    r.set_defaults(run=_cmd_regularize)
 
     s = sub.add_parser("spiders", help="spider enumeration")
     ssub = s.add_subparsers(dest="spiders_command", required=True)
@@ -111,6 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     sc.add_argument("--lv", required=True)
     sc.add_argument("--by-leaf", action="store_true")
     sc.add_argument("--out")
+    sc.set_defaults(run=_cmd_spiders_count)
 
     c = sub.add_parser("classify", help="admissible/good classification")
     c.add_argument("--graph", required=True)
@@ -119,6 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--threshold", default="paper")
     c.add_argument("--lv")
     c.add_argument("--out")
+    c.set_defaults(run=_cmd_classify)
 
     f = sub.add_parser("find", help="find a subdivision / spider blowup")
     f.add_argument("--graph", required=True)
@@ -127,6 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--threshold", default="paper")
     f.add_argument("--node-limit", type=int)
     f.add_argument("--out")
+    f.set_defaults(run=_cmd_find)
 
     o = sub.add_parser("oracle", help="ground-truth searches")
     osub = o.add_subparsers(dest="oracle_command", required=True)
@@ -135,17 +140,20 @@ def build_parser() -> argparse.ArgumentParser:
     oc.add_argument("--pattern", required=True)
     oc.add_argument("--node-limit", type=int)
     oc.add_argument("--out")
+    oc.set_defaults(run=_cmd_contains)
     oe = osub.add_parser("extremal")
     oe.add_argument("--n", type=int, required=True)
     oe.add_argument("--pattern", required=True)
     oe.add_argument("--node-limit", type=int)
     oe.add_argument("--out")
+    oe.set_defaults(run=_cmd_extremal)
     oh = osub.add_parser("hillclimb")
     oh.add_argument("--n", type=int, required=True)
     oh.add_argument("--pattern", required=True)
     oh.add_argument("--iters", type=int, default=1000)
     oh.add_argument("--seed", type=int, default=0)
     oh.add_argument("--out")
+    oh.set_defaults(run=_cmd_hillclimb)
 
     w = sub.add_parser("sweep", help="heuristic lower-bound sweep")
     w.add_argument("--pattern", required=True)
@@ -155,6 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
     w.add_argument("--timing", action="store_true",
                    help="record real wall times (breaks byte-identical reruns)")
     w.add_argument("--out")
+    w.set_defaults(run=_cmd_sweep)
     return p
 
 
@@ -278,33 +287,36 @@ def _cmd_find(args) -> int:
     return 0
 
 
-def _cmd_oracle(args) -> int:
-    if args.oracle_command == "contains":
-        g = _load_graph(args.graph)
-        desc = parse_pattern(args.pattern)
-        res = contains(g, desc, SearchBudget(args.node_limit))
-        if res.status == "found":
-            _emit(res.witness.to_json(), args.out, args.quiet)
-            return 0
-        _emit(f"status={res.status}\n", args.out, args.quiet)
-        return 1
-    if args.oracle_command == "extremal":
-        desc = parse_pattern(args.pattern)
-        res = extremal_number(args.n, desc, SearchBudget(args.node_limit))
-        payload = {
-            "n": res.n,
-            "pattern": str(res.pattern),
-            "value": res.value,
-            "exhaustive": res.exhaustive,
-            "witness_edges": [list(e) for e in res.witness_graph.sorted_edges()],
-        }
-        _emit(
-            _report("oracle-extremal", {"n": args.n, "pattern": args.pattern},
-                    payload),
-            args.out, args.quiet,
-        )
+def _cmd_contains(args) -> int:
+    g = _load_graph(args.graph)
+    desc = parse_pattern(args.pattern)
+    res = contains(g, desc, SearchBudget(args.node_limit))
+    if res.status == "found":
+        _emit(res.witness.to_json(), args.out, args.quiet)
         return 0
-    # hillclimb
+    _emit(f"status={res.status}\n", args.out, args.quiet)
+    return 1
+
+
+def _cmd_extremal(args) -> int:
+    desc = parse_pattern(args.pattern)
+    res = extremal_number(args.n, desc, SearchBudget(args.node_limit))
+    payload = {
+        "n": res.n,
+        "pattern": str(res.pattern),
+        "value": res.value,
+        "exhaustive": res.exhaustive,
+        "witness_edges": [list(e) for e in res.witness_graph.sorted_edges()],
+    }
+    _emit(
+        _report("oracle-extremal", {"n": args.n, "pattern": args.pattern},
+                payload),
+        args.out, args.quiet,
+    )
+    return 0
+
+
+def _cmd_hillclimb(args) -> int:
     desc = parse_pattern(args.pattern)
     g = hill_climb_free(args.n, desc, args.iters, args.seed).graph
     _emit(g.dump(), args.out, args.quiet)
@@ -340,21 +352,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.threads < 1:
         parser.error("--threads must be >= 1")
     try:
-        if args.command == "gen":
-            return _cmd_gen(args)
-        if args.command == "regularize":
-            return _cmd_regularize(args)
-        if args.command == "spiders":
-            return _cmd_spiders_count(args)
-        if args.command == "classify":
-            return _cmd_classify(args)
-        if args.command == "find":
-            return _cmd_find(args)
-        if args.command == "oracle":
-            return _cmd_oracle(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        raise ValueError(f"unknown command {args.command!r}")
+        return args.run(args)
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -160,6 +160,14 @@ def _truncated_leaf(lv: tuple[int, ...], gamma: tuple[int, ...]) -> Key:
     return spider_layout(tuple(l - g for l, g in zip(lv, gamma))).leaf
 
 
+def _first_clear(
+    members: Iterable[FlatSpider], blocked: set[int]
+) -> FlatSpider | None:
+    """The first of `members`, in iteration order, disjoint from
+    `blocked`, or None: the one pick rule of S_j, T_j and connect."""
+    return next((M for M in members if blocked.isdisjoint(M)), None)
+
+
 def build_paths(
     fam: SpiderFamily,
     r0: FlatSpider,
@@ -172,10 +180,12 @@ def build_paths(
     runs from leaf i of r0 to leaf i of the last column, with
     targets[i] - lv[i] edges.
 
-    The family's members are spiders of one host.  S_j's new vertices
-    avoid Z, `used` and the stub, and T_j's non-leaf vertices avoid Z and
-    `used` (which holds S_j), so every appended vertex is new: the paths
-    are simple, pairwise disjoint and off Z, and `assemble_blowup`'s
+    The family's members are spiders of one host.  Every pick is the
+    first member clear of one blocked set (`_first_clear`); `blocked`
+    holds Z and every member picked so far.  S_j's new vertices avoid
+    `blocked` less the stub, and T_j's non-leaf vertices avoid `blocked`
+    (which holds S_j) less its leaves, so every appended vertex is new: the
+    paths are simple, pairwise disjoint and off Z, and `assemble_blowup`'s
     `verify_embedding` is the one check of the result.  Equal targets
     need no chain.
     """
@@ -186,7 +196,7 @@ def build_paths(
         raise ValueError("targets must dominate the length vector")
     if sum(1 for l in lv if l == 1) > 1:
         raise ValueError("at most one leg of length 1 is supported")
-    zset = set(Z)
+    blocked = set(Z)
     layout = spider_layout(lv)
 
     cols = _gamma_schedule(lv, targets)
@@ -200,7 +210,7 @@ def build_paths(
     if not any(trunc0(sp) == r0 for sp in fam.members):
         raise ValueError("r0 is not a truncation of any family member")
     start = spider_layout(want).leaf(r0)
-    if zset & set(start):
+    if not blocked.isdisjoint(start):
         raise ValueError("Z intersects the starting leaf vector")
 
     J = len(cols) if any(map(any, cols)) else 0
@@ -212,42 +222,26 @@ def build_paths(
 
     paths = [[v] for v in start]
     r_prev = r0
-    used: set[int] = set()
 
     for j in range(1, J + 1):
         trunc = layout.truncation(cols[j - 1])
-        forb = zset | used
-        r_vs = set(r_prev)
-        s_j = None
-        for M in fam.members:
-            if trunc(M) != r_prev:
-                continue
-            if (set(M) - r_vs) & forb:
-                continue
-            s_j = M
-            break
+        s_j = _first_clear((M for M in fam.members if trunc(M) == r_prev),
+                           blocked - set(r_prev))
         if s_j is None:
             raise ConstructionFailure(
                 f"S_{j}", "no family member extends the current stub cleanly"
             )
-        used |= set(s_j)
+        blocked.update(s_j)
         leaves = layout.leaf(s_j)
         add_column(leaves)
 
         if j <= J - 1:
-            leaf_set = set(leaves)
-            forb_t = zset | used
-            t_j = None
-            for M in fam.with_leaf(leaves):
-                if (set(M) - leaf_set) & forb_t:
-                    continue
-                t_j = M
-                break
+            t_j = _first_clear(fam.with_leaf(leaves), blocked - set(leaves))
             if t_j is None:
                 raise ConstructionFailure(
                     f"T_{j}", "no disjoint member shares the leaf vector"
                 )
-            used |= set(t_j)
+            blocked.update(t_j)
             r_prev = layout.truncation(cols[j])(t_j)
             add_column(_truncated_leaf(lv, cols[j])(r_prev))
 
@@ -261,21 +255,18 @@ def connect_paths(
     paths' far endpoints, avoiding Z and meeting the paths only there; leg
     i of the result runs on along path i, back to its start.
     """
-    zset = set(Z)
     w = tuple(p[-1] for p in paths)
-    path_vs = set().union(*(set(p) for p in paths))
-    blocked = zset | (path_vs - set(w))
-    for M in fam.with_leaf(w):
-        if set(M) & blocked:
-            continue
-        out = [M[0]]
-        for (a, b), path in zip(spider_layout(fam.lv).legs, paths):
-            out += M[a:b]
-            out += reversed(path[:-1])
-        return tuple(out)
-    raise ConstructionFailure(
-        "connect", f"no member with leaf vector {w} avoids the paths and Z"
-    )
+    path_vs = set().union(*paths)
+    M = _first_clear(fam.with_leaf(w), set(Z) | (path_vs - set(w)))
+    if M is None:
+        raise ConstructionFailure(
+            "connect", f"no member with leaf vector {w} avoids the paths and Z"
+        )
+    out = [M[0]]
+    for (a, b), path in zip(spider_layout(fam.lv).legs, paths):
+        out += M[a:b]
+        out += reversed(path[:-1])
+    return tuple(out)
 
 
 def assemble_blowup(

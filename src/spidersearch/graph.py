@@ -335,8 +335,6 @@ def is_balanced(F: RootedPattern) -> bool:
     vertices; for spider patterns use spider_balance_criterion instead.
     """
     nr = F.non_roots()
-    if not nr:
-        raise ValueError("pattern has no non-root vertex")
     if len(nr) > EXHAUSTIVE_BALANCE_LIMIT:
         raise BalanceUndecidable(
             f"{len(nr)} non-root vertices exceed the exhaustive limit "

@@ -64,6 +64,9 @@ class TestGen:
                          "--length", "8", "--out", str(dest))
         assert code == 0
         assert Graph.load(dest.read_text()) == cycle_graph(8)
+        # without --quiet the file is named on stdout
+        assert run(capsys, "gen", "--kind", "cycle", "--length", "8",
+                   "--out", str(dest)) == (0, f"wrote {dest}\n", "")
 
     def test_random_deterministic(self, capsys):
         a = run(capsys, "gen", "--kind", "random", "--n", "20", "--m", "30",
@@ -535,6 +538,13 @@ class TestGlobalFlags:
                 "--lv", "1,1")
         assert a == b
 
+    def test_threads_below_one_exit_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--threads", "0", "gen", "--kind", "cycle", "--length", "4"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.endswith("error: --threads must be >= 1\n")
+
     def test_reused_parser_matches_fresh(self, capsys, tmp_path):
         path = write_graph(tmp_path, cycle_graph(8))
         calls = [
@@ -563,6 +573,18 @@ def test_zero_node_limit_exit_2(capsys, tmp_path, argv):
     code, out, err = run(capsys, *argv, "--node-limit", "0")
     assert code == 2 and out == ""
     assert err == "error: node limit must be positive\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["oracle", "extremal", "--n", "0", "--pattern", "cycle:4"],
+     "n must be >= 1"),
+    (["oracle", "hillclimb", "--n", "5", "--pattern", "cycle:4",
+      "--iters", "0"], "iterations must be >= 1"),
+    (["sweep", "--pattern", "cycle:4", "--n-range", "4:5", "--iters", "0"],
+     "iterations must be >= 1"),
+], ids=["extremal-n", "hillclimb-iters", "sweep-iters"])
+def test_count_below_one_exit_2(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("argv", [

@@ -236,12 +236,19 @@ class TestBuildPaths:
         _, fam = k66_family()
         with pytest.raises(ValueError, match="dominate"):
             build_paths(fam, fam.members[0], set(), (1, 2))
+        with pytest.raises(ValueError, match="^targets must match the "
+                                             "family's leg count$"):
+            build_paths(fam, fam.members[0], set(), (2, 2, 2))
 
     def test_wrong_r0_rejected(self):
         _, fam = k66_family()
         bad = spider_layout((2, 2)).truncation((1, 1))(fam.members[0])
         with pytest.raises(ValueError, match="length vector"):
             build_paths(fam, bad, set(), (2, 2))
+        # the right size, but on vertices K_{6,6} does not have
+        with pytest.raises(ValueError, match="^r0 is not a truncation of "
+                                             "any family member$"):
+            build_paths(fam, tuple(range(12, 17)), set(), (2, 2))
 
     def test_z_hits_leaves_rejected(self):
         _, fam = k66_family()
@@ -332,10 +339,13 @@ class TestConnect:
     def test_blocked_by_z(self):
         _, fam = k66_family()
         res = build_paths(fam, fam.members[0], set(), (2, 2))
-        z = {unflatten(sp, (2, 2)).centre
-             for sp in fam.with_leaf(tuple(p[-1] for p in res))}
-        with pytest.raises(ConstructionFailure, match="connect"):
-            connect_paths(fam, res, z)
+        ends = tuple(p[-1] for p in res)
+        centres = {unflatten(sp, (2, 2)).centre for sp in fam.with_leaf(ends)}
+        # every member with leaf vector `ends` holds ends[0], so a Z that
+        # holds it refuses them all: the far ends may meet the paths, not Z
+        for z in (centres, {ends[0]}):
+            with pytest.raises(ConstructionFailure, match="connect"):
+                connect_paths(fam, res, z)
 
 
 class TestAssemble:
@@ -346,6 +356,9 @@ class TestAssemble:
         assert w.route == "constructive"
         assert len(w.paths) == 2
         assert verify_embedding(g, w)
+        with pytest.raises(ValueError, match="^t must be >= 1$"):
+            assemble_blowup(g, fam, (2, 2), 0,
+                            parse_pattern("spider:2,2*1"))
 
     def test_k24_host_t2(self):
         g, fam = k24_host_family()

@@ -63,6 +63,27 @@ class TestLoad:
         with pytest.raises(GraphParseError):
             Graph.load("3 2\n0 1")
 
+    @pytest.mark.parametrize("text, message", [
+        ("", "line 1: missing header 'n m'"),
+        ("3\n", "line 1: header must be 'n m'"),
+        ("-3 0\n", "line 1: n and m must be nonnegative"),
+        ("3 1\n0 1 2\n", "line 2: expected 'u v'"),
+        ("3 1\n0 x\n", "line 2: vertices must be integers"),
+    ], ids=["empty", "one-field-header", "negative-n", "three-field-edge",
+            "non-integer-vertex"])
+    def test_parse_error_messages(self, text, message):
+        with pytest.raises(GraphParseError) as exc:
+            Graph.load(text)
+        assert str(exc.value) == message
+
+    def test_constructors_reject_bad_edges(self):
+        with pytest.raises(ValueError) as exc:
+            Graph(3, frozenset({(0, 5)}))
+        assert str(exc.value) == "edge (0,5) out of range for n=3"
+        with pytest.raises(ValueError) as exc:
+            Graph.from_edges(3, [(0, 1), (1, 0)])
+        assert str(exc.value) == "duplicate edge (0, 1)"
+
     def test_leading_comment(self):
         g = Graph.load("# a triangle\n3 3\n0 1\n1 2\n2 0\n")
         assert g == cycle_graph(3)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from dataclasses import replace
 from itertools import combinations, product
 
 import pytest
@@ -113,6 +114,23 @@ class TestVerifyEmbedding:
         g, w = identity_witness_k23_2()
         bad = Witness(w.pattern, (0, 1, 2, 3, 3), w.paths)
         assert "distinct" in embedding_error(g, bad)
+
+    @pytest.mark.parametrize("forge, extra, message", [
+        (lambda w: replace(w, terminals=(0, 1, 2, 3, 11)), set(),
+         "terminal image out of range"),
+        (lambda w: replace(w, paths=w.paths[:-1]), set(),
+         "expected 6 paths, got 5"),
+        (lambda w: replace(w, paths=((2, 2, 0), *w.paths[1:])), set(),
+         "path 0: repeated vertex"),
+        # 2-1-0 is a path once (0,1) and (1,2) are edges, through root 1
+        (lambda w: replace(w, paths=((2, 1, 0), *w.paths[1:])),
+         {(0, 1), (1, 2)}, "path 0: interior touches a terminal image"),
+    ], ids=["terminal-range", "path-count", "repeat-in-path",
+            "interior-terminal"])
+    def test_malformed_witness_message(self, forge, extra, message):
+        g, w = identity_witness_k23_2()
+        host = Graph(g.n, g.edges | extra)
+        assert embedding_error(host, forge(w)) == message
 
 
 class TestContains:
@@ -1018,6 +1036,17 @@ class TestEdgeCheck:
                 assert check.creates(v, u) == want, (pattern, g, v, u)
                 verdicts.add(want)
         assert verdicts == ({True} if pattern == "kst:1,1" else {True, False})
+
+    def test_spliced_copy_that_fails_verification_raises(self, monkeypatch):
+        # the anchored route verifies each copy it splices together; a copy
+        # the verifier rejects stops the check instead of answering
+        g = Graph(5, complete_bipartite(2, 3).edges - {(0, 2)})
+        check = _EdgeCheck(parse_pattern("kst:2,3")).start(g)
+        assert check.creates(0, 2)
+        monkeypatch.setattr(oracle, "_embedding_error", lambda *a: "forged")
+        with pytest.raises(RuntimeError,
+                           match="^anchored witness failed verification$"):
+            check.creates(0, 2)
 
     @pytest.mark.parametrize("pattern,classes,anchors", [
         ("kst:2,3^2", [0, 0, 2, 2, 2], [(0, 2, 5), (0, 5, 0)]),

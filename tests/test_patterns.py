@@ -48,6 +48,15 @@ class TestParse:
                                  "patterns only$"):
             parse_pattern(text)
 
+    @pytest.mark.parametrize("text, message", [
+        ("spider:1,2*0", "blowup modifier must be >= 1"),
+        ("foo:1", "unknown pattern kind 'foo'"),
+    ])
+    def test_rejects_with_message(self, text, message):
+        with pytest.raises(ValueError) as exc:
+            parse_pattern(text)
+        assert str(exc.value) == message
+
 
 class TestTemplates:
     def test_kst_template_shape(self):

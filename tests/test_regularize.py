@@ -147,6 +147,8 @@ class TestExtract:
             extract_almost_regular(cycle_graph(5), 0.0)
         with pytest.raises(ValueError, match=r"epsilon must be in \(0,1\)"):
             extract_almost_regular(cycle_graph(5), 1.0)
+        with pytest.raises(ValueError, match="^graph must be nonempty$"):
+            extract_almost_regular(Graph(0, frozenset()), 0.5)
 
     def test_theoretical_K(self):
         # 20 * 2^(1/eps^2 + 1) at eps = 1 is 80

@@ -97,6 +97,17 @@ class TestRunSweep:
                            match=r"n=9 seed=0: not edge-maximal at \(0,3\)"):
             run_sweep(cfg)
 
+    def test_row_containing_the_pattern_fails(self, monkeypatch):
+        # a climb that hands back the pattern itself fails its row before
+        # any copy is read
+        climb = ClimbResult(cycle_graph(5), [None] * 10)
+        monkeypatch.setattr(sweep, "hill_climb_free",
+                            lambda n, desc, iters, seed: climb)
+        with pytest.raises(RuntimeError,
+                           match="^sweep row n=5 seed=0: output contains "
+                                 "the pattern$"):
+            run_sweep(SweepConfig(parse_pattern("cycle:5"), 5, 5))
+
     @pytest.mark.parametrize("pattern", ["kst:2,2^2", "kst:2,3"])
     def test_verification_runs_no_edge_search(self, monkeypatch, pattern):
         # from each climb's return to the next climb, every copy-through
