@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .goodness import Thresholds, check_L, classify_paths, classify_spiders
 from .graph import Graph
@@ -38,21 +37,16 @@ class ConstructionFailure(Exception):
 # -- refined families ---------------------------------------------------------
 
 
-@dataclass
 class SpiderFamily:
-    lv: tuple[int, ...]
-    members: tuple[FlatSpider, ...]  # sorted
-    delta: float
-    L: float
-    thresholds: Thresholds
-    _leaf_index: dict[tuple[int, ...], list[FlatSpider]] = field(
-        init=False, repr=False
-    )
+    __slots__ = ("lv", "members", "delta", "L", "thresholds", "_leaf_index")
 
-    def __post_init__(self) -> None:
-        leaf = spider_layout(self.lv).leaf
-        self._leaf_index = {}
-        for sp in self.members:
+    def __init__(self, lv: tuple[int, ...], members: tuple[FlatSpider, ...],
+                 delta: float, L: float, thresholds: Thresholds) -> None:
+        self.lv, self.members = lv, members  # members sorted
+        self.delta, self.L, self.thresholds = delta, L, thresholds
+        leaf = spider_layout(lv).leaf
+        self._leaf_index: dict[tuple[int, ...], list[FlatSpider]] = {}
+        for sp in members:
             self._leaf_index.setdefault(leaf(sp), []).append(sp)
 
     def with_leaf(self, leaf: tuple[int, ...]) -> list[FlatSpider]:
@@ -316,8 +310,7 @@ def assemble_blowup(
 # -- orchestration ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FindReport:
+class FindReport(NamedTuple):
     witness: Witness | None
     status: str  # 'constructive' | 'oracle' | 'not-found' | 'budget'
     tried: tuple[tuple[int, ...], ...]

@@ -18,10 +18,9 @@ from __future__ import annotations
 import math
 import sys
 from collections import Counter
-from dataclasses import dataclass
 from itertools import islice, product, takewhile
 from operator import itemgetter
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from .graph import Graph
 from .spiders import FlatSpider, enumerate_spiders, spider_layout
@@ -61,8 +60,7 @@ def f_value(ell: int, L: float) -> int:
     return next(islice(_recursion(L), ell - 1, None))
 
 
-@dataclass(frozen=True)
-class Thresholds:
+class Thresholds(NamedTuple):
     """The threshold function f(ell) and its spelling in the grammar of
     `parse`: the real recursion (whose L `parse` takes separately), a
     constant, or a custom table.  Constant
@@ -151,8 +149,7 @@ def enumerate_paths(G: Graph, length: int) -> Iterator[Path]:
             yield p
 
 
-@dataclass
-class Level:
+class Level(NamedTuple):
     """One level of a classification: its admissible and good objects, the
     number of admissible objects per key, and the number of objects the
     level examined.
@@ -177,8 +174,7 @@ def _classify_level(admissible: set, total: int, key: Callable,
 _ends = itemgetter(0, -1)
 
 
-@dataclass
-class PathClassification:
+class PathClassification(NamedTuple):
     k: int
     levels: dict[int, Level]
 
@@ -208,8 +204,7 @@ def classify_paths(G: Graph, k: int, thresholds: Thresholds) -> PathClassificati
     return PathClassification(k=k, levels=levels)
 
 
-@dataclass
-class SpiderClassification:
+class SpiderClassification(NamedTuple):
     """Spider levels; `admissible` and `good` hold flat spiders in the
     layout `spider_layout(vec)` of their vector."""
 

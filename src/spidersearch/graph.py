@@ -8,11 +8,10 @@ layout so that embedding certificates are reproducible.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import isqrt
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 
 class GraphParseError(ValueError):
@@ -23,30 +22,42 @@ def _norm_edge(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
-@dataclass(frozen=True)
 class Graph:
     """Immutable undirected simple graph on vertices 0..n-1."""
 
-    n: int
-    edges: frozenset[tuple[int, int]]
-    _adj: tuple[tuple[int, ...], ...] = field(
-        init=False, repr=False, compare=False, hash=False
-    )
+    __slots__ = ("n", "edges", "_adj")
 
-    def __post_init__(self) -> None:
-        if self.n < 0:
+    def __init__(self, n: int, edges: frozenset[tuple[int, int]]) -> None:
+        if n < 0:
             raise ValueError("n must be nonnegative")
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
+        adj: list[list[int]] = [[] for _ in range(n)]
+        for u, v in edges:
             if u == v:
                 raise ValueError(f"loop at vertex {u}")
-            if not (0 <= u < v < self.n):
-                raise ValueError(f"edge ({u},{v}) out of range for n={self.n}")
+            if not (0 <= u < v < n):
+                raise ValueError(f"edge ({u},{v}) out of range for n={n}")
             adj[u].append(v)
             adj[v].append(u)
-        object.__setattr__(
-            self, "_adj", tuple(tuple(sorted(ns)) for ns in adj)
-        )
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "_adj", tuple(tuple(sorted(ns)) for ns in adj))
+
+    def __setattr__(self, name: str, *value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+    __delattr__ = __setattr__
+
+    def __eq__(self, other: object) -> bool:
+        return other.__class__ is self.__class__ and (
+            (self.n, self.edges) == (other.n, other.edges))
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.edges))
+
+    def __repr__(self) -> str:
+        return f"Graph(n={self.n!r}, edges={self.edges!r})"
+
+    def __reduce__(self) -> tuple:
+        return Graph, (self.n, self.edges)
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -236,20 +247,25 @@ def subdivide(F: Graph, k: int) -> Graph:
     return Graph.from_edges(nxt, edges)
 
 
-@dataclass(frozen=True)
-class RootedPattern:
-    """A graph with a distinguished proper nonempty subset of root vertices."""
-
+class _RootedPattern(NamedTuple):
     graph: Graph
     roots: frozenset[int]
 
-    def __post_init__(self) -> None:
+
+class RootedPattern(_RootedPattern):
+    """A graph with a distinguished proper nonempty subset of root vertices."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "RootedPattern":
+        self = super().__new__(cls, *args, **kwargs)
         if not self.roots:
             raise ValueError("root set must be nonempty")
         if not all(0 <= r < self.graph.n for r in self.roots):
             raise ValueError("root out of range")
         if len(self.roots) >= self.graph.n:
             raise ValueError("roots must be a proper subset of the vertices")
+        return self
 
     def non_roots(self) -> list[int]:
         return [v for v in self.graph.vertices() if v not in self.roots]

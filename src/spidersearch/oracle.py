@@ -12,9 +12,9 @@ import json
 import random
 from collections import Counter
 from collections.abc import Callable, Collection, Sequence
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
+from typing import NamedTuple
 
 from .graph import Graph
 from .patterns import (
@@ -33,14 +33,13 @@ class BudgetExhausted(Exception):
     pass
 
 
-@dataclass
 class SearchBudget:
-    node_limit: int | None = None
-    nodes: int = field(default=0, init=False)
+    __slots__ = ("node_limit", "nodes")
 
-    def __post_init__(self) -> None:
-        if self.node_limit is not None and self.node_limit <= 0:
+    def __init__(self, node_limit: int | None = None) -> None:
+        if node_limit is not None and node_limit <= 0:
             raise ValueError("node limit must be positive")
+        self.node_limit, self.nodes = node_limit, 0
 
     def start(self) -> "SearchBudget":
         self.nodes = 0
@@ -55,8 +54,7 @@ class SearchBudget:
 # -- witnesses ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     """Embedding certificate: terminal images in template order plus one
     host path per template requirement (endpoints included).
     """
@@ -419,8 +417,7 @@ def adding_edge_creates(
 # -- containment -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ContainmentResult:
+class ContainmentResult(NamedTuple):
     status: str  # 'found' | 'absent' | 'budget'
     witness: Witness | None = None
     nodes: int = 0
@@ -934,8 +931,7 @@ def are_isomorphic(G: Graph, H: Graph) -> bool:
 # -- extremal numbers ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExtremalResult:
+class ExtremalResult(NamedTuple):
     n: int
     pattern: PatternDescriptor
     value: int
@@ -1091,8 +1087,7 @@ def _branch_and_bound(
 # -- hill climbing -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ClimbResult:
+class ClimbResult(NamedTuple):
     """A hill-climbed graph and its certificate of edge-maximality.
     `copies[r]`, r the rank of a pair in `combinations` order, is what
     `_EdgeCheck.copy_through` found when the run rejected that pair, and

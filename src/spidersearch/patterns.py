@@ -9,15 +9,14 @@ same template.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
+from typing import NamedTuple
 
 from .graph import Graph
 
 
-@dataclass(frozen=True)
-class Template:
+class Template(NamedTuple):
     """Routing form of a pattern: distinct terminal vertices plus a list of
     required internally-disjoint paths (a, b, length) between them.
     """
@@ -26,8 +25,7 @@ class Template:
     requirements: tuple[tuple[int, int, int], ...]
 
 
-@dataclass(frozen=True)
-class PatternDescriptor:
+class PatternDescriptor(NamedTuple):
     kind: str  # 'kst' | 'cycle' | 'spider' | 'arbitrary'
     s: int = 0
     t: int = 0

@@ -10,7 +10,7 @@ vertex set.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graph import Graph
 
@@ -39,8 +39,7 @@ def theoretical_K(epsilon: float) -> float:
         return math.inf
 
 
-@dataclass(frozen=True)
-class RegularizeReport:
+class RegularizeReport(NamedTuple):
     subgraph: Graph
     vertices: tuple[int, ...]  # original ids, sorted
     m: int

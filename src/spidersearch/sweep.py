@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .oracle import (
     adding_edge_creates,
@@ -20,8 +20,7 @@ from .oracle import (
 from .patterns import PatternDescriptor, theoretical_exponent
 
 
-@dataclass(frozen=True)
-class SweepConfig:
+class _SweepConfig(NamedTuple):
     pattern: PatternDescriptor
     n_start: int
     n_stop: int
@@ -30,7 +29,12 @@ class SweepConfig:
     iterations: int = 1000
     timing: bool = False
 
-    def __post_init__(self) -> None:
+
+class SweepConfig(_SweepConfig):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "SweepConfig":
+        self = super().__new__(cls, *args, **kwargs)
         if self.n_start > self.n_stop:
             raise ValueError("empty n-range")
         if self.n_step < 1:
@@ -39,13 +43,13 @@ class SweepConfig:
             raise ValueError("seeds must be >= 1")
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
+        return self
 
     def ns(self) -> list[int]:
         return list(range(self.n_start, self.n_stop + 1, self.n_step))
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     n: int
     seed: int
     edges: int

@@ -1,7 +1,6 @@
 import hashlib
 import json
 import random
-from dataclasses import replace
 from itertools import combinations, product
 
 import pytest
@@ -116,14 +115,14 @@ class TestVerifyEmbedding:
         assert "distinct" in embedding_error(g, bad)
 
     @pytest.mark.parametrize("forge, extra, message", [
-        (lambda w: replace(w, terminals=(0, 1, 2, 3, 11)), set(),
+        (lambda w: w._replace(terminals=(0, 1, 2, 3, 11)), set(),
          "terminal image out of range"),
-        (lambda w: replace(w, paths=w.paths[:-1]), set(),
+        (lambda w: w._replace(paths=w.paths[:-1]), set(),
          "expected 6 paths, got 5"),
-        (lambda w: replace(w, paths=((2, 2, 0), *w.paths[1:])), set(),
+        (lambda w: w._replace(paths=((2, 2, 0), *w.paths[1:])), set(),
          "path 0: repeated vertex"),
         # 2-1-0 is a path once (0,1) and (1,2) are edges, through root 1
-        (lambda w: replace(w, paths=((2, 1, 0), *w.paths[1:])),
+        (lambda w: w._replace(paths=((2, 1, 0), *w.paths[1:])),
          {(0, 1), (1, 2)}, "path 0: interior touches a terminal image"),
     ], ids=["terminal-range", "path-count", "repeat-in-path",
             "interior-terminal"])

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 from itertools import combinations
 
@@ -199,19 +198,19 @@ class TestForgedCertificates:
 
     @pytest.mark.parametrize("forge", [
         # the centre's edge reversed, so its ends miss their terminals
-        lambda g, w, e: dataclasses.replace(
-            w, paths=(w.paths[0][::-1], *w.paths[1:])),
+        lambda g, w, e: w._replace(
+            paths=(w.paths[0][::-1], *w.paths[1:])),
         # the second leg's middle vertex is not adjacent to the centre
-        lambda g, w, e: dataclasses.replace(
-            w, paths=(w.paths[0],
-                      (w.paths[1][0], _stray(g, w), w.paths[1][2]),
-                      w.paths[2])),
+        lambda g, w, e: w._replace(
+            paths=(w.paths[0],
+                   (w.paths[1][0], _stray(g, w), w.paths[1][2]),
+                   w.paths[2])),
         # the second leg runs through the third leg's middle vertex
-        lambda g, w, e: dataclasses.replace(
-            w, paths=(w.paths[0], (w.paths[1][0], w.paths[2][1],
-                                   w.paths[1][2]), w.paths[2])),
+        lambda g, w, e: w._replace(
+            paths=(w.paths[0], (w.paths[1][0], w.paths[2][1],
+                                w.paths[1][2]), w.paths[2])),
         # one terminal short
-        lambda g, w, e: dataclasses.replace(w, terminals=w.terminals[:-1]),
+        lambda g, w, e: w._replace(terminals=w.terminals[:-1]),
         # a valid copy of another pattern: the single edge (u, v) itself
         lambda g, w, e: Witness(parse_pattern("arbitrary:2:0-1"), e, (e,)),
         # a witness's paths instead of the witness
