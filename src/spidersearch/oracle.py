@@ -552,25 +552,31 @@ def _template_search(
     the pattern at the pins (see `_EdgeCheck`), so the gate reads the
     degrees of the host plus that edge.
 
-    Requirements are routed in `_requirement_order`; a requirement with a
-    new end tries its images in ascending vertex order, among the unused
-    vertices whose degree reaches the terminal's requirement count.
-    Terminals enter in that order, `a` before `b`, and within each twin
-    class (see `_twin_classes`) a terminal's candidates start one past the
-    image of the twin that entered just before it.  So the mirror of
-    an embedding that breaks this order lies in an earlier, exhaustively
-    searched sibling branch, and a swap of two unpinned twins fixes the
-    pins.  Up to s!·t! times fewer nodes for K_{s,t}^k.
+    Requirements are routed in `_requirement_order`, each by one rule.
+    `near(x)` holds the vertices that a route of the requirement can join
+    to x: the neighbours of x (length 1), the vertices that share with x a
+    neighbour outside `used` (length 2), or those in range of x's distance
+    table (length 3 or more).  A new `a` draws its images from `near` of
+    `b`'s image when `b` is placed and from every vertex otherwise; a new
+    `b` draws from `near` of `a`'s image.  Either tries them in ascending
+    vertex order, among the unused vertices whose degree reaches the
+    terminal's requirement count, so a new terminal costs the size of a
+    neighbourhood, not of the host.  Terminals enter in requirement order,
+    `a` before `b`, and within each twin class (see `_twin_classes`) a
+    terminal's candidates start one past the image of the twin that
+    entered just before it.  So the mirror of an embedding that breaks
+    this order lies in an earlier, exhaustively searched sibling branch,
+    and a swap of two unpinned twins fixes the pins.  Up to s!·t! times
+    fewer nodes for K_{s,t}^k.
 
     A requirement of length 1 asks only whether its ends are adjacent.
     One of length 3 or more tries every exact path in `_walk_paths` order;
     all paths of one search node avoid the same set, so distance tables
-    are shared per target within the node, and a new `b` skips every image
-    out of range of `a`'s table.  A requirement of length 2 builds no
-    table and is deferred: its middle is a common neighbour of its ends
-    that no terminal image or longer path uses, and the middles must be
-    distinct, which is a bipartite matching (the all-different filter of
-    Régin, 1994).  The matching lives in `owner` alone (middle to
+    are shared per target within the node.  A requirement of length 2
+    builds no table and is deferred: its middle is a common neighbour of
+    its ends that no terminal image or longer path uses, and the middles
+    must be distinct, which is a bipartite matching (the all-different
+    filter of Régin, 1994).  The matching lives in `owner` alone (middle to
     requirement) and grows by an augmenting path (`augment`) per
     requirement, which moves every middle along the path at once; a vertex
     that a new terminal or a longer path takes from it sends its
@@ -581,10 +587,8 @@ def _template_search(
     the search runs but changes between searches (`_EdgeCheck.add` and
     `remove`), so it is dropped on return and needs no trail entries.
     A length-2 requirement whose ends are both placed before its turn is
-    routed by `augment` alone.
-    A new `b` needs a neighbour of `a`'s image that no terminal image or
-    longer path uses.  The leaf reads the paths of length 1 and 2 off the
-    terminal images and the inverted matching.
+    routed by `augment` alone.  The leaf reads the paths of length 1 and 2
+    off the terminal images and the inverted matching.
 
     Without length-2 requirements the first embedding is the unordered
     search's, in at most as many budget ticks.  With them, the images and
@@ -701,16 +705,13 @@ def _template_search(
         put(owner, x, None)
         return augment(r)
 
-    def shared(x: int) -> set[int]:
-        """The vertices that share with x a neighbour outside `used`."""
-        return {y for m in adj[x] if m not in used for y in adj[m]}
-
-    def candidates(term: int) -> list[int]:
-        """Unused vertices past term's twin, of degree >= incident[term]."""
+    def candidates(term: int, pool: Collection[int]) -> list[int]:
+        """The vertices of `pool`, ascending, that are unused, past term's
+        twin and of degree >= incident[term]."""
         first = img[after[term]] + 1 if term in after else 0
         least = incident[term]
-        return [x for x in range(first, len(adj))
-                if deg[x] >= least and x not in used]
+        return sorted(x for x in pool
+                      if x >= first and deg[x] >= least and x not in used)
 
     def branches(pos: int):
         """Route requirement order[pos] each way in turn: apply the route,
@@ -718,12 +719,6 @@ def _template_search(
         ridx = order[pos]
         a, b, length = reqs[ridx]
         new_a, new_b = a not in img, b not in img
-        if length == 2 and not (new_a or new_b):  # `augment` decides
-            mark = len(trail)
-            if augment(ridx):
-                yield True
-                undo(mark)
-            return
         if length > 2:
             forb = used.keys() - {img.get(a), img.get(b)}
             tables: dict[int, list[int]] = {}
@@ -734,10 +729,16 @@ def _template_search(
                     dist = tables[v] = _distances_to(adj, v, length, forb)
                 return dist
 
-        xas = candidates(a) if new_a else (img[a],)
-        if length == 2 and new_a and not new_b:
-            near = shared(img[b])
-            xas = [x for x in xas if x in near]
+        def near(x: int) -> Collection[int]:
+            """The vertices that a route of this requirement can join to x."""
+            if length == 1:
+                return adj[x]
+            if length == 2:  # a shared neighbour outside `used`
+                return {y for m in adj[x] if m not in used for y in adj[m]}
+            return [y for y, d in enumerate(table(x)) if d <= length]
+
+        xas = (candidates(a, range(len(adj)) if new_b else near(img[b]))
+               if new_a else (img[a],))
         start = len(trail)
         for xa in xas:
             if new_a:
@@ -746,18 +747,7 @@ def _template_search(
                     undo(start)
                     continue
             at_a = len(trail)
-            if new_b and length > 2:
-                dist = table(xa)
-                xbs = [x for x in candidates(b) if dist[x] <= length]
-            elif new_b:
-                near = adj[xa] if length == 1 else shared(xa)
-                xbs = [x for x in candidates(b) if x in near]
-            elif length == 1:
-                xbs = [img[b]] if img[b] in adj[xa] else []
-            elif length == 2:  # `augment` decides
-                xbs = [img[b]]
-            else:
-                xbs = [img[b]] if table(img[b])[xa] <= length else []
+            xbs = candidates(b, near(xa)) if new_b else (img[b],)
             for xb in xbs:
                 if new_b:
                     put(img, b, xb)
@@ -773,7 +763,7 @@ def _template_search(
                         if all(take(y) for y in path[1:-1]):
                             yield True
                         undo(at_b)
-                elif length == 1 or augment(ridx):
+                elif xb in adj[xa] if length == 1 else augment(ridx):
                     yield True
                 undo(at_a)
             undo(start)

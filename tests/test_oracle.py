@@ -21,6 +21,7 @@ from spidersearch.oracle import (
     SearchBudget,
     Witness,
     _EdgeCheck,
+    _adjacency,
     _anchors,
     _distances_to,
     _template_search,
@@ -160,7 +161,7 @@ class TestContains:
         assert (res.status, res.nodes) == ("absent", 0)
         # the gate is the template search's own, so the edge check's
         # anchored templates (one edge fewer, as many vertices) meet it too
-        adj = [g.neighbors(v) for v in g.vertices()]
+        adj = _adjacency(g)
         tmpl = compile_template(parse_pattern(pattern))
         anchored, _, x, y = _anchors(tmpl)[0]
         for t, pins in ((tmpl, None), (anchored, {x: 0, y: 1})):
@@ -240,6 +241,16 @@ class TestContains:
             ((0, 4, 1), (0, 10, 5), (0, 15, 6), (3, 7, 1), (3, 14, 5),
              (3, 11, 6), (9, 13, 1), (9, 2, 5), (9, 12, 6)),
         ),
+        ("kst:3,3", 57): (
+            (3, 6, 11, 1, 9, 12),
+            ((1, 3), (1, 6), (1, 11), (9, 3), (9, 6), (9, 11), (12, 3),
+             (12, 6), (12, 11)),
+        ),
+        ("kst:2,3^3", 2148): (
+            (3, 16, 0, 9, 25),
+            ((0, 15, 28, 3), (0, 19, 1, 16), (9, 23, 10, 3), (9, 12, 7, 16),
+             (25, 13, 4, 3), (25, 8, 21, 16)),
+        ),
     }
 
     @pytest.mark.parametrize("host,pattern,status,nodes", [
@@ -259,6 +270,11 @@ class TestContains:
          "kst:2,3^2", "absent", 1291),
         # a witness placed by multi-step augmenting paths
         (random_gnm(16, 44, seed=5), "kst:3,3^2", "found", 331),
+        # routes of length 1 and of length 3
+        (random_gnm(20, 34, seed=1), "kst:3,3", "absent", 408),
+        (random_gnm(16, 40, seed=3), "kst:3,3", "found", 57),
+        (random_gnm(20, 26, seed=5), "kst:2,3^3", "absent", 2369),
+        (random_gnm(30, 45, seed=2), "kst:2,3^3", "found", 2148),
     ])
     def test_frozen_node_counts(self, host, pattern, status, nodes):
         # budget ticks are part of the contract: the counts pin the search
@@ -316,7 +332,7 @@ class TestContains:
 
     def test_long_template_path_beyond_recursion_limit(self):
         g = path_graph(1499)
-        adj = [g.neighbors(v) for v in g.vertices()]
+        adj = _adjacency(g)
         dist = _distances_to(adj, 1499, 1499, set())
         paths = list(_walk_paths(adj, 0, 1499, 1499, dist, SearchBudget()))
         assert paths == [tuple(range(1500))]
@@ -332,7 +348,7 @@ class TestTemplateSearchReference:
     """
 
     PATTERNS = (
-        "kst:2,3", "kst:3,3", "spider:1,3*2",
+        "kst:2,3", "kst:3,3", "spider:1,3*2", "kst:2,2^3", "kst:3,2^3",
         "arbitrary:5:0-1;0-2;1-3;2-3;3-4",  # terminals 1 and 2 are twins
         "arbitrary:6:0-1;1-2;2-3;3-4;1-5;2-5",  # no two terminals are twins
     )
@@ -354,7 +370,7 @@ class TestTemplateSearchReference:
     @staticmethod
     def pruned(g, tmpl, node_limit=None):
         budget = SearchBudget(node_limit)
-        adj = [g.neighbors(v) for v in g.vertices()]
+        adj = _adjacency(g)
         try:
             sol = _template_search(adj, tmpl, budget)
         except BudgetExhausted:
@@ -433,7 +449,7 @@ class TestTemplateSearchReference:
             Template(3, ((0, 1, 2), (2, 1, 1)))
         g = Graph.from_edges(5, [(0, 2), (1, 2), (0, 3), (1, 3), (2, 4),
                                  (1, 4)])
-        adj = [g.neighbors(v) for v in g.vertices()]
+        adj = _adjacency(g)
         img, paths = _template_search(adj, tmpl, SearchBudget(), {0: 0, 1: 1})
         assert paths[0] == (0, 3, 1)
         if length == 3:
@@ -445,7 +461,7 @@ class TestTemplateSearchReference:
         # edge to 1 goes too)
         blocked = {(1, 3)} if length == 3 else {(1, 3), (1, 4)}
         h = Graph(g.n, g.edges - blocked)
-        adj = [h.neighbors(v) for v in h.vertices()]
+        adj = _adjacency(h)
         assert _template_search(adj, tmpl, SearchBudget(), {0: 0, 1: 1}) is None
 
     @pytest.mark.parametrize("kind", [tuple, dict.fromkeys])
